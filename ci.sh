@@ -20,6 +20,15 @@ cargo build --release --offline --workspace
 echo "== cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+# The repository benchmark's own tests, then one short sim-sectored run:
+# its warm-up round checks the pinned seed-1 RunResult digests, so any
+# host-only simulator change that moves a simulated count fails here
+# (perfbench exits 1 on a failed output check).
+echo "== perfbench tests + pinned sim-sectored digests"
+cargo test --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload sim-sectored --seed 1 --seconds 1 --trace 0 >/dev/null
+
 echo "== cargo build --offline --features telemetry-off"
 cargo build --offline --features telemetry-off
 

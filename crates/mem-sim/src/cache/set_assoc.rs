@@ -7,16 +7,63 @@
 //!
 //! # Layout
 //!
-//! Line state is kept in struct-of-arrays form: tags and LRU stamps in flat
-//! parallel arrays indexed `set * ways + way`, and the single-bit metadata
-//! (valid, dirty, NRU reference) as one 64-bit way-mask per set. A probe
-//! therefore touches one mask word plus the tag lane — two cache lines for
-//! a 16-way set instead of the eight an array-of-structs layout costs — and
-//! the dirty/NRU state is read and updated with single bit operations. This
-//! is the layout the simulator's hot loops (L1/L2/L3 probes, sector
-//! directory, SRAM tag cache, Alloy DBC) scan millions of times per second.
+//! Line state is kept in struct-of-arrays form: tags and payloads in flat
+//! parallel arrays indexed `set * ways + way`, and the per-set metadata as
+//! one 64-bit word each: a valid way-mask, a dirty way-mask and a
+//! replacement word. A probe therefore touches one mask word plus the tag
+//! lane — two cache lines for a 16-way set instead of the eight an
+//! array-of-structs layout costs — and the dirty state is read and updated
+//! with single bit operations. This is the layout the simulator's hot loops
+//! (L1/L2/L3 probes, sector directory, SRAM tag cache, Alloy DBC) scan
+//! millions of times per second.
+//!
+//! The replacement word depends on the policy:
+//!
+//! - **NRU**: a way-mask of reference bits.
+//! - **LRU**: the set's recency order, one 4-bit way index per rank with
+//!   rank 0 (the low nibble) the most recently used, stored XOR
+//!   [`IDENTITY_ORDER`]. A zeroed word is therefore the valid order
+//!   "way `r` at rank `r`", so the array needs no initialization and its
+//!   pages stay lazily faulted. A touch moves one way to rank 0 and the
+//!   victim is read from rank `ways - 1`, both in O(1); LRU is limited to
+//!   16 ways so the order fits one word.
 
 use super::replacement::ReplacementKind;
+
+/// The identity recency order (way `r` at rank `r`), XOR-ed into every
+/// stored LRU word so that zero encodes it.
+const IDENTITY_ORDER: u64 = 0xFEDC_BA98_7654_3210;
+
+/// One in each nibble.
+const NIBBLE_ONES: u64 = 0x1111_1111_1111_1111;
+
+/// Most ways an LRU set can have: its order packs 4-bit way indices into
+/// one 64-bit word.
+const MAX_LRU_WAYS: usize = 16;
+
+/// Rank of `way` in the recency order `order`: a SWAR search for the one
+/// nibble equal to `way`. Nibbles at ranks at or above the set's way count
+/// hold their own rank (see [`IDENTITY_ORDER`]), so they never match.
+#[inline]
+fn rank_of(order: u64, way: u64) -> u32 {
+    let x = order ^ (way * NIBBLE_ONES);
+    // High bit of each zero nibble of `x`; a borrow can only add false
+    // positives above the lowest zero nibble, which is the one we want.
+    let zero = x.wrapping_sub(NIBBLE_ONES) & !x & (NIBBLE_ONES << 3);
+    debug_assert!(zero != 0, "way missing from recency order");
+    zero.trailing_zeros() / 4
+}
+
+/// `order` with the way at `rank` moved to rank 0, ranks below it shifted
+/// up by one.
+#[inline]
+fn move_to_front(order: u64, rank: u32) -> u64 {
+    let shift = 4 * rank;
+    let way = (order >> shift) & 0xF;
+    let above = order & (u64::MAX << shift << 4);
+    let below = order & !(u64::MAX << shift);
+    above | below << 4 | way
+}
 
 /// Elements per 4 KB page (at least 1, for oversized `T`).
 fn page_stride<T>() -> usize {
@@ -70,18 +117,16 @@ pub struct SetAssocCache<P> {
     /// Tag of each line (`set * ways + way`); meaningful only where the
     /// set's valid mask has the way's bit.
     tags: Vec<u64>,
-    /// LRU stamp of each line (global tick at last touch).
-    last_use: Vec<u64>,
     /// Payload of each line.
     payloads: Vec<P>,
     /// Per-set way masks: bit `w` set means way `w` holds a valid line.
     valid: Vec<u64>,
     /// Per-set way masks: bit `w` set means way `w` is dirty.
     dirty: Vec<u64>,
-    /// Per-set way masks: NRU reference bits.
-    nru: Vec<u64>,
+    /// Per-set replacement words: NRU reference bits, or the LRU recency
+    /// order XOR [`IDENTITY_ORDER`] (see the module docs).
+    repl: Vec<u64>,
     policy: ReplacementKind,
-    tick: u64,
     hits: u64,
     misses: u64,
 }
@@ -91,24 +136,27 @@ impl<P: Default + Clone> SetAssocCache<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `ways` is zero, or `ways` exceeds 64 (way
-    /// metadata is tracked in 64-bit masks).
+    /// Panics if `sets` or `ways` is zero, `ways` exceeds 64 (way
+    /// metadata is tracked in 64-bit masks), or an LRU cache has more than
+    /// 16 ways (its recency order packs 4-bit ranks into one word).
     pub fn new(sets: u64, ways: usize, policy: ReplacementKind) -> Self {
         assert!(sets > 0 && ways > 0, "cache must have at least one line");
         assert!(ways <= 64, "way metadata is tracked in 64-bit masks");
+        assert!(
+            policy != ReplacementKind::Lru || ways <= MAX_LRU_WAYS,
+            "LRU supports at most {MAX_LRU_WAYS} ways (4-bit ranks in a 64-bit order), got {ways}"
+        );
         let lines = (sets as usize) * ways;
         let mut cache = Self {
             sets,
             set_shift: sets.is_power_of_two().then(|| sets.trailing_zeros()),
             ways,
             tags: vec![0; lines],
-            last_use: vec![0; lines],
             payloads: vec![P::default(); lines],
             valid: vec![0; sets as usize],
             dirty: vec![0; sets as usize],
-            nru: vec![0; sets as usize],
+            repl: vec![0; sets as usize],
             policy,
-            tick: 0,
             hits: 0,
             misses: 0,
         };
@@ -119,7 +167,6 @@ impl<P: Default + Clone> SetAssocCache<P> {
         // warmup noise in short benchmark cells. Touch one element per
         // page now, at construction, where setup cost belongs.
         prefault(&mut cache.tags);
-        prefault(&mut cache.last_use);
         for i in (0..cache.payloads.len()).step_by(page_stride::<P>()) {
             let line = std::mem::take(&mut cache.payloads[i]);
             cache.payloads[i] = std::hint::black_box(line);
@@ -183,22 +230,33 @@ impl<P: Default + Clone> SetAssocCache<P> {
         None
     }
 
-    /// Touches `idx` for replacement: bumps the global tick, stamps the
-    /// line, and updates NRU reference bits exactly as the paper's
-    /// single-bit scheme requires (when every valid line is referenced,
-    /// all bits except the touched line's clear).
+    /// Touches `idx` for replacement. Under LRU it moves the line's way to
+    /// rank 0 of the set's recency order; touching the way already at rank
+    /// 0 writes nothing, so a 1-way directory never writes its order array
+    /// and its zeroed pages are never faulted in. Under NRU it sets the
+    /// line's reference bit exactly as the paper's single-bit scheme
+    /// requires: when every valid line is referenced, all bits except the
+    /// touched line's clear.
     #[inline]
     fn touch(&mut self, idx: usize) {
-        self.tick += 1;
-        self.last_use[idx] = self.tick;
         let set = idx / self.ways;
-        let bit = 1u64 << (idx % self.ways);
-        self.nru[set] |= bit;
-        if self.policy == ReplacementKind::Nru {
-            let wm = self.ways_mask();
-            // Every way is either invalid or referenced: clear the others.
-            if (self.nru[set] | !self.valid[set]) & wm == wm {
-                self.nru[set] = bit;
+        let way = idx % self.ways;
+        match self.policy {
+            ReplacementKind::Lru => {
+                let order = self.repl[set] ^ IDENTITY_ORDER;
+                let rank = rank_of(order, way as u64);
+                if rank != 0 {
+                    self.repl[set] = move_to_front(order, rank) ^ IDENTITY_ORDER;
+                }
+            }
+            ReplacementKind::Nru => {
+                let bit = 1u64 << way;
+                let wm = self.ways_mask();
+                self.repl[set] |= bit;
+                // Every way is either invalid or referenced: clear the others.
+                if (self.repl[set] | !self.valid[set]) & wm == wm {
+                    self.repl[set] = bit;
+                }
             }
         }
     }
@@ -401,7 +459,9 @@ impl<P: Default + Clone> SetAssocCache<P> {
         } else {
             self.dirty[set] &= !vbit;
         }
-        self.nru[set] &= !vbit;
+        if self.policy == ReplacementKind::Nru {
+            self.repl[set] &= !vbit;
+        }
         self.payloads[victim] = payload;
         self.touch(victim);
         (evicted, Slot(victim))
@@ -410,19 +470,14 @@ impl<P: Default + Clone> SetAssocCache<P> {
     fn pick_victim(&self, base: usize) -> usize {
         let set = base / self.ways;
         match self.policy {
-            // invariant: construction rejects zero ways, so every set has
-            // at least one line to choose from; ties keep the lowest way.
+            // The way at the last rank: every way of a full set has been
+            // touched since it was filled, so it is the least recently used.
             ReplacementKind::Lru => {
-                let mut best = base;
-                for i in base + 1..base + self.ways {
-                    if self.last_use[i] < self.last_use[best] {
-                        best = i;
-                    }
-                }
-                best
+                let order = self.repl[set] ^ IDENTITY_ORDER;
+                base + ((order >> (4 * (self.ways - 1))) & 0xF) as usize
             }
             ReplacementKind::Nru => {
-                let unref = !self.nru[set] & self.ways_mask();
+                let unref = !self.repl[set] & self.ways_mask();
                 if unref != 0 {
                     base + unref.trailing_zeros() as usize
                 } else {
@@ -433,7 +488,7 @@ impl<P: Default + Clone> SetAssocCache<P> {
     }
 
     /// Invalidates `key`; returns the evicted line if it was present.
-    /// (LRU stamps and NRU bits are left stale, exactly as a real
+    /// (The LRU order and NRU bits are left stale, exactly as a real
     /// directory's replacement state would be.)
     pub fn invalidate(&mut self, key: u64) -> Option<Eviction<P>> {
         let i = self.find(key)?;
@@ -667,5 +722,11 @@ mod tests {
     #[should_panic(expected = "64-bit masks")]
     fn more_than_sixty_four_ways_is_rejected() {
         let _: SetAssocCache<()> = SetAssocCache::new(1, 65, ReplacementKind::Lru);
+    }
+
+    #[test]
+    #[should_panic(expected = "LRU supports at most 16 ways")]
+    fn lru_above_sixteen_ways_is_rejected() {
+        let _: SetAssocCache<()> = SetAssocCache::new(1, 17, ReplacementKind::Lru);
     }
 }

@@ -216,9 +216,16 @@ impl System {
         let done = self.mem.read(block, core, pc, t, kind);
         self.mshr.insert(block, done);
         if self.mshr.len() > self.mshr_cleanup_at {
+            // This clean-up is part of the simulated model, not a pure
+            // host-side optimization: core issue times are not monotone, so
+            // an entry completed by `t` can still be outstanding for a core
+            // probing at an earlier cycle, and dropping it changes whether
+            // that later miss merges. When the clean-up runs — this
+            // threshold and its growth rule included — therefore shapes
+            // simulated results; changing it means re-pinning them.
             self.mshr.retain(|_, &mut c| c > t);
-            // Amortize: if most entries are still outstanding (saturated
-            // memory), grow the threshold instead of re-scanning per insert.
+            // If most entries are still outstanding (saturated memory),
+            // grow the threshold instead of re-scanning per insert.
             self.mshr_cleanup_at = (self.mshr.len() * 2).max(8192);
         }
         done
