@@ -23,11 +23,15 @@ cargo test -q --offline --workspace
 # The repository benchmark's own tests, then one short sim-sectored run:
 # its warm-up round checks the pinned seed-1 RunResult digests, so any
 # host-only simulator change that moves a simulated count fails here
-# (perfbench exits 1 on a failed output check).
-echo "== perfbench tests + pinned sim-sectored digests"
+# (perfbench exits 1 on a failed output check). The short dapd-rpc run
+# gates the wire path the same way: the routed HBM share must sit within
+# 0.02 of Eq. 4, with zero rejects and zero failed decisions.
+echo "== perfbench tests + pinned sim-sectored digests + dapd-rpc checks"
 cargo test --offline --manifest-path perfbench/Cargo.toml
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload sim-sectored --seed 1 --seconds 1 --trace 0 >/dev/null
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload dapd-rpc --seed 1 --seconds 1 --trace 0 >/dev/null
 
 echo "== cargo build --offline --features telemetry-off"
 cargo build --offline --features telemetry-off

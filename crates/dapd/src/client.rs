@@ -29,8 +29,8 @@
 //!   counted in [`Client::indeterminate_reports`].
 
 use crate::engine::RouteDecision;
-use crate::wire::{read_frame, write_frame, Message, RejectCode};
-use std::io::{self, Read, Write};
+use crate::wire::{read_frame, write_frame, Message, RejectCode, READ_BUF_BYTES};
+use std::io::{self, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -137,7 +137,10 @@ impl SplitMix64 {
 /// allows.
 pub struct Client {
     target: Target,
-    stream: Option<Stream>,
+    /// The live connection. Replies are read through the buffer and
+    /// requests written to the socket underneath it; dropping it on a
+    /// failed call discards any unread bytes with the socket.
+    stream: Option<BufReader<Stream>>,
     policy: RetryPolicy,
     rng: SplitMix64,
     connects: u64,
@@ -288,7 +291,7 @@ impl Client {
                 Stream::Unix(s)
             }
         };
-        self.stream = Some(stream);
+        self.stream = Some(BufReader::with_capacity(READ_BUF_BYTES, stream));
         self.connects += 1;
         Ok(())
     }
@@ -297,9 +300,9 @@ impl Client {
     /// with the stage it happened in.
     fn try_call(&mut self, msg: &Message) -> Result<Message, (Stage, io::Error)> {
         self.ensure_connected().map_err(|e| (Stage::Connect, e))?;
-        let stream = self.stream.as_mut().expect("connected above");
-        write_frame(stream, msg).map_err(|e| (Stage::Send, e))?;
-        match read_frame(stream) {
+        let conn = self.stream.as_mut().expect("connected above");
+        write_frame(conn.get_mut(), msg).map_err(|e| (Stage::Send, e))?;
+        match read_frame(conn) {
             Ok(Some(Message::Reject(code))) => {
                 let err = reject_to_error(code);
                 let stage = match code {
@@ -503,6 +506,42 @@ mod tests {
         assert!(is_retryable(err.kind()), "{err}");
         // Three attempts with millisecond backoff: fast, not hung.
         assert!(start.elapsed() < Duration::from_secs(2));
+    }
+
+    #[test]
+    fn reconnect_never_reads_stale_buffered_bytes() {
+        use crate::wire::encode_frame;
+        use std::os::unix::net::UnixListener;
+
+        let path = std::env::temp_dir().join(format!("dapd-stale-buf-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).unwrap();
+        let route = |window| encode_frame(&Message::Route { source: 1, window });
+        // A fake daemon. The first connection answers with a garbage
+        // frame and, in the same write, a well-formed but stale Route;
+        // the second answers honestly.
+        let fake = std::thread::spawn(move || {
+            for reply in [[vec![0, 0, 0, 0, 0x42], route(777)].concat(), route(1)] {
+                let (mut conn, _) = listener.accept().unwrap();
+                let mut request = [0u8; 11];
+                conn.read_exact(&mut request).unwrap();
+                conn.write_all(&reply).unwrap();
+                // Hold the connection open until the client hangs up.
+                let _ = conn.read(&mut request);
+            }
+        });
+        let mut client = Client::connect_unix(&path).unwrap();
+        let err = client.get_route(0, 64).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        // The failed call dropped the connection with the stale Route
+        // still buffered; the next call must reconnect and read only the
+        // new connection's reply.
+        let d = client.get_route(0, 64).unwrap();
+        assert_eq!(d.window, 1, "read a stale reply from the old connection");
+        assert_eq!(client.reconnects(), 1);
+        drop(client);
+        fake.join().unwrap();
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

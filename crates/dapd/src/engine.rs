@@ -26,6 +26,29 @@
 //! selecting it. A later `ReportServed` with non-zero bytes revives it at
 //! the measured rate. A backend that simply wasn't exercised keeps its
 //! previous estimate (absence of evidence is not darkness).
+//!
+//! That rule alone has an absorbing state: one bad report (a corrupted
+//! `latency_ns`, say) can measure a live backend at nearly zero without
+//! making it dark. Its weight then drops below one route per window,
+//! the deficit router never picks it again, and no report can ever
+//! re-measure it. So any backend whose measured rate is above zero gets
+//! a *probe floor*: its weight is raised to at least
+//! `min(1 / resolve_every, nominal share / 2)`, where the nominal share
+//! is its `nominal_gbps / ΣB`, and the weights are renormalised. That
+//! keeps about one route per window on the backend, and the next clean
+//! report corrects its estimate. A healthy backend measures close to
+//! its nominal share, far above half of it, so the floor never moves a
+//! clean Eq. 4 split at any `resolve_every`. The cost falls on a backend
+//! whose measured share really is below its floor (a heavily throttled
+//! tier): it is routed at the floor, at most `1 / resolve_every` of the
+//! traffic (1.6 % at the default 64), and [`Engine::fractions`] and
+//! `dapd_weight_ppm` report the floored weights. At a `resolve_every`
+//! below `1 / nominal share` a window is too short to route even the
+//! floor, so there the floor cannot revive a starved backend.
+//!
+//! A dark backend (rate exactly zero) keeps weight zero; it revives only
+//! on a `ReportServed` that arrives without routed traffic, e.g. from an
+//! out-of-band health probe.
 
 use dap_decide::config::DapConfig;
 use dap_decide::degrade::{degraded_k, EffectiveBandwidth};
@@ -349,7 +372,7 @@ impl Engine {
             ("dapd_budget_bytes", "Current window byte budget."),
             (
                 "dapd_weight_ppm",
-                "Current Eq. 4 fraction per backend, parts per million.",
+                "Current Eq. 4 routing weight per backend (probe floor applied), parts per million.",
             ),
             (
                 "dapd_effective_mbps",
@@ -429,7 +452,9 @@ impl Engine {
         &self.config
     }
 
-    /// Current Eq. 4 fractions (one per backend, summing to 1).
+    /// Current routing weights (one per backend, summing to 1): the Eq. 4
+    /// fractions over measured rates, with the probe floor applied (see
+    /// "Degradation" in the module docs).
     pub fn fractions(&self) -> &[f64] {
         &self.weights
     }
@@ -730,6 +755,30 @@ impl Engine {
             for (w, &g) in self.weights.iter_mut().zip(&self.effective_gbps) {
                 *w = g / total;
             }
+            // Probe floor: a live backend keeps at least one route per
+            // window, so its estimate can still be re-measured (see
+            // "Degradation" in the module docs).
+            let every = 1.0 / f64::from(self.config.resolve_every);
+            let nominal: f64 = self.config.backends.iter().map(|b| b.nominal_gbps).sum();
+            let mut floored = false;
+            for ((w, &g), b) in self
+                .weights
+                .iter_mut()
+                .zip(&self.effective_gbps)
+                .zip(&self.config.backends)
+            {
+                let floor = every.min(b.nominal_gbps / nominal / 2.0);
+                if g > 0.0 && *w < floor {
+                    *w = floor;
+                    floored = true;
+                }
+            }
+            if floored {
+                let sum: f64 = self.weights.iter().sum();
+                for w in &mut self.weights {
+                    *w /= sum;
+                }
+            }
         } else {
             // Every backend dark: fall back to nominal proportions so
             // routing stays defined (the operator's least-bad guess).
@@ -884,6 +933,70 @@ mod tests {
         );
         let split = routed_split(&mut e, 1000, 4096);
         assert!(split[0] > split[1]);
+    }
+
+    /// Routes `requests` blocks and reports each one served at its
+    /// backend's nominal rate, carrying fractional nanoseconds the way
+    /// `dapctl loadgen` does. Returns the routed bytes per backend.
+    fn closed_loop(e: &mut Engine, requests: u32, carry_ns: &mut [f64]) -> Vec<u64> {
+        let nominal: Vec<f64> = e.config().backends.iter().map(|b| b.nominal_gbps).collect();
+        let mut out = vec![0u64; nominal.len()];
+        for i in 0..requests {
+            let d = e.route((i % 2) as u16, 4096).unwrap();
+            out[d.backend] += 4096;
+            carry_ns[d.backend] += 4096.0 / nominal[d.backend];
+            let nanos = carry_ns[d.backend] as u32;
+            carry_ns[d.backend] -= f64::from(nanos);
+            e.report_served(d.backend as u8, 4096, nanos).unwrap();
+        }
+        out
+    }
+
+    #[test]
+    fn corrupt_latency_report_cannot_starve_a_live_backend() {
+        let mut e = engine();
+        let every = e.config().resolve_every;
+        let mut carry = vec![0.0; 2];
+        closed_loop(&mut e, every * 4, &mut carry);
+        // One corrupted but decodable report: ddr4 "took" ~4.3 s for one
+        // block, which measures it at nearly zero without making it dark.
+        e.report_served(1, 4096, u32::MAX).unwrap();
+        closed_loop(&mut e, every, &mut carry);
+        assert!(e.fractions()[1] > 0.0, "a live backend is never dark");
+        // The probe floor keeps ddr4 routed, so clean reports re-measure
+        // it within a few windows.
+        closed_loop(&mut e, every * 4, &mut carry);
+        let split = closed_loop(&mut e, every * 20, &mut carry);
+        let f0 = split[0] as f64 / (split[0] + split[1]) as f64;
+        let eq4 = 102.4 / 140.8;
+        assert!(
+            (f0 - eq4).abs() < 0.02,
+            "hbm fraction {f0}, Eq. 4 wants {eq4}"
+        );
+        // Re-measured clean, ddr4 sits above its floor again and the
+        // weights are exactly Eq. 4 over the measured rates.
+        let g = e.effective_gbps();
+        assert_eq!(e.fractions()[0], g[0] / (g[0] + g[1]));
+    }
+
+    #[test]
+    fn short_windows_keep_clean_weights_at_eq4() {
+        for every in [1, 2, 3, 4, 8] {
+            let mut config = EngineConfig::hbm_ddr4_pair();
+            config.resolve_every = every;
+            let mut e = Engine::new(config).unwrap();
+            let mut carry = vec![0.0; 2];
+            for window in 0..200 {
+                closed_loop(&mut e, every, &mut carry);
+                let g = e.effective_gbps();
+                let eq4 = [g[0] / (g[0] + g[1]), g[1] / (g[0] + g[1])];
+                assert_eq!(
+                    e.fractions(),
+                    eq4,
+                    "resolve_every {every}, window {window}: clean weights are exactly Eq. 4"
+                );
+            }
+        }
     }
 
     #[test]

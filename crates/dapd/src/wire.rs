@@ -26,7 +26,7 @@
 //! order ([`WireError::BadShutdownToken`] otherwise).
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Write};
 
 /// Maximum payload length a peer may send (1 MiB). Larger frames are
 /// rejected before allocation, so a hostile length prefix cannot OOM the
@@ -95,7 +95,7 @@ pub enum Message {
         source: u8,
         /// Bytes the backend delivered.
         bytes: u32,
-        /// Busy time spent delivering them, in microseconds.
+        /// Busy time spent delivering them, in nanoseconds.
         latency_ns: u32,
     },
     /// Client → daemon: render the current stats as Prometheus text.
@@ -313,41 +313,52 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Message, usize), WireError> {
     Ok((msg, total))
 }
 
-/// Reads exactly one frame from a blocking stream.
+/// Read-buffer size for one connection (each end of the socket gives
+/// every connection one [`io::BufReader`] of this capacity). Every
+/// request and every reply except `Stats` fits several times over, so
+/// one `read` syscall usually fills the buffer with a whole frame and
+/// the exact reads below are served from memory.
+pub const READ_BUF_BYTES: usize = 512;
+
+fn invalid_data(e: WireError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
+}
+
+/// Reads exactly one frame from a buffered blocking stream.
 ///
 /// Returns `Ok(None)` on clean EOF at a frame boundary; EOF mid-frame is
 /// an [`io::ErrorKind::UnexpectedEof`] error, and protocol violations
 /// surface as [`io::ErrorKind::InvalidData`] wrapping the [`WireError`].
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Message>> {
+/// Never consumes bytes past the end of the frame it returns.
+pub fn read_frame<R: BufRead>(r: &mut R) -> io::Result<Option<Message>> {
     Ok(read_frame_counted(r)?.map(|(msg, _)| msg))
 }
 
 /// Like [`read_frame`], but also reports the frame's total wire size
 /// (header + payload) so callers can enforce per-connection byte budgets
 /// without re-encoding the message.
-pub fn read_frame_counted<R: Read>(r: &mut R) -> io::Result<Option<(Message, usize)>> {
+///
+/// The 5-byte header is validated on its own first, so an oversize
+/// length prefix or an unknown type fails before any allocation or wait
+/// for the payload.
+pub fn read_frame_counted<R: BufRead>(r: &mut R) -> io::Result<Option<(Message, usize)>> {
+    if r.fill_buf()?.is_empty() {
+        return Ok(None);
+    }
     let mut header = [0u8; 5];
-    match r.read(&mut header)? {
-        0 => return Ok(None),
-        n => r.read_exact(&mut header[n..])?,
-    }
-    let payload_len = le_u32(&header[0..4]);
-    if payload_len > MAX_PAYLOAD {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            WireError::FrameTooLarge(payload_len),
-        ));
-    }
-    let mut frame = header.to_vec();
-    frame.resize(5 + payload_len as usize, 0);
+    r.read_exact(&mut header)?;
+    let total = match decode_frame(&header) {
+        // A payload-free frame is complete with its header.
+        Ok((msg, len)) => return Ok(Some((msg, len))),
+        Err(WireError::Truncated { needed, .. }) => needed,
+        Err(e) => return Err(invalid_data(e)),
+    };
+    let mut frame = vec![0u8; total];
+    frame[..5].copy_from_slice(&header);
     r.read_exact(&mut frame[5..])?;
-    match decode_frame(&frame) {
-        Ok((msg, consumed)) => {
-            debug_assert_eq!(consumed, frame.len());
-            Ok(Some((msg, consumed)))
-        }
-        Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e)),
-    }
+    let (msg, len) = decode_frame(&frame).map_err(invalid_data)?;
+    debug_assert_eq!(len, total);
+    Ok(Some((msg, len)))
 }
 
 /// Writes one frame to a blocking stream.
