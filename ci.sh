@@ -12,7 +12,7 @@ echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --offline --all-targets -- -D warnings
 
 # --workspace matters: with a root package, a bare `cargo build` covers
-# only that package — the figure binaries and dapctl live in dap-bench
+# only that package — dapctl (and with it every figure) lives in dap-bench
 # and would silently stay stale (or missing on a clean checkout).
 echo "== cargo build --release --offline --workspace"
 cargo build --release --offline --workspace
@@ -55,7 +55,7 @@ cargo test --release --offline -q -p experiments --test fault_tolerance \
 # Strict-audit smoke: a small fig01 run with the checked-mode auditor
 # failing fast must finish with zero invariant violations.
 echo "== strict-audit fig01 smoke"
-DAP_INSTRUCTIONS=20000 ./target/release/fig01_bw_vs_hitrate --audit >/dev/null
+DAP_INSTRUCTIONS=20000 ./target/release/dapctl fig fig01_bw_vs_hitrate --audit >/dev/null
 
 # SIGINT cancellation smoke: interrupt a checkpointed figure run mid-grid,
 # expect the graceful-shutdown exit code (130) with a manifest on disk,
@@ -65,7 +65,7 @@ echo "== SIGINT cancellation smoke"
 ckpt_dir=$(mktemp -d)
 trap 'rm -rf "$ckpt_dir"' EXIT
 DAP_INSTRUCTIONS=20000 DAP_RESUME="$ckpt_dir/grid.ckpt" \
-    ./target/release/fig_fault_degradation >/dev/null 2>&1 &
+    ./target/release/dapctl fig fig_fault_degradation >/dev/null 2>&1 &
 smoke_pid=$!
 sleep 2
 kill -INT "$smoke_pid" 2>/dev/null || true
@@ -81,7 +81,7 @@ elif [ "$smoke_status" -ne 0 ]; then
     exit 1
 fi
 DAP_INSTRUCTIONS=20000 DAP_RESUME="$ckpt_dir/grid.ckpt" \
-    ./target/release/fig_fault_degradation >/dev/null
+    ./target/release/dapctl fig fig_fault_degradation >/dev/null
 
 # Bench regression gate: the pinned suite must run, emit a
 # schema-versioned BENCH JSON, and stay within 40% of the checked-in
@@ -236,13 +236,13 @@ cargo test --release --offline -q -p experiments --test shard_chaos
 # telemetry-off must compile the whole observability stack away without
 # changing a figure's output: the same fig01 run from a telemetry-off
 # release build must be byte-identical. The feature build targets
-# dap-bench directly — the figure binaries live there, and a workspace-
-# root `--features` never reaches them. Runs late: each feature build
-# replaces the binaries in target/release.
+# dap-bench directly — dapctl lives there, and a workspace-root
+# `--features` never reaches it. Runs late: each feature build replaces
+# dapctl in target/release.
 echo "== telemetry-off fig01 byte-identical check"
-DAP_INSTRUCTIONS=20000 ./target/release/fig01_bw_vs_hitrate > target/fig01_default.txt
+DAP_INSTRUCTIONS=20000 ./target/release/dapctl fig fig01_bw_vs_hitrate > target/fig01_default.txt
 cargo build --release --offline -p dap-bench --features telemetry-off
-DAP_INSTRUCTIONS=20000 ./target/release/fig01_bw_vs_hitrate > target/fig01_telemetry_off.txt
+DAP_INSTRUCTIONS=20000 ./target/release/dapctl fig fig01_bw_vs_hitrate > target/fig01_telemetry_off.txt
 cmp target/fig01_default.txt target/fig01_telemetry_off.txt || {
     echo "ci: telemetry-off changed fig01 output" >&2
     exit 1
@@ -254,13 +254,13 @@ cmp target/fig01_default.txt target/fig01_telemetry_off.txt || {
 # fig01 run against the default build's output captured above.
 echo "== reference-kernel fig01 byte-identical check"
 cargo build --release --offline -p dap-bench --features reference-kernel
-DAP_INSTRUCTIONS=20000 ./target/release/fig01_bw_vs_hitrate > target/fig01_reference_kernel.txt
+DAP_INSTRUCTIONS=20000 ./target/release/dapctl fig fig01_bw_vs_hitrate > target/fig01_reference_kernel.txt
 cmp target/fig01_default.txt target/fig01_reference_kernel.txt || {
     echo "ci: reference-kernel changed fig01 output" >&2
     exit 1
 }
 
-# Restore the default-feature binaries so a later local run of this
+# Restore the default-feature dapctl so a later local run of this
 # script (or an ad-hoc figure run) starts from the default build.
 cargo build --release --offline -p dap-bench
 

@@ -1,6 +1,15 @@
-//! `dapctl` — command-line driver for ad-hoc simulations.
+//! `dapctl` — command-line driver for the DAP reproduction: the paper's
+//! figures, ad-hoc simulations, traces, benches, and the daemon.
 //!
 //! ```text
+//! dapctl fig <id> [--threads N] [--audit[=strict|observe|off]]
+//!     Regenerate one paper figure/table, ablation, or extension and
+//!     print it (ids are the `experiment_results/<id>.txt` names; run
+//!     `dapctl fig` to list them). `DAP_INSTRUCTIONS` overrides the
+//!     figure's per-core budget; `DAP_TELEMETRY=1` adds window-trace
+//!     artifacts for fig01/06/14/15; `DAP_RESUME=<manifest>` checkpoints
+//!     and resumes `fig_fault_degradation`. Any other flag, or a second
+//!     id, is a usage error.
 //! dapctl list
 //!     List the benchmark clones and their parameters.
 //! dapctl run <benchmark> [--policy <baseline|dap|ta-dap|sbd|sbd-wt|batman>]
@@ -13,10 +22,10 @@
 //! dapctl trace <benchmark> [--policy <dap|ta-dap>] [--cores N] [--arch A]
 //!              [--instructions N] [--out DIR]
 //!     Run one workload with per-window DAP tracing: print the human
-//!     summary and write versioned JSONL + CSV window-trace artifacts.
+//!     summary and write a versioned JSONL window-trace artifact.
 //! dapctl trace summarize <file> [--lenient-ok]
-//!     Read a window-trace artifact (JSONL or CSV) leniently and print
-//!     its human summary. Corrupt record lines are skipped with a
+//!     Read a JSONL window-trace artifact leniently and print its human
+//!     summary. Corrupt record lines are skipped with a
 //!     `N records unparseable` warning and exit status 4 — pass
 //!     --lenient-ok to accept partial artifacts with exit 0.
 //! dapctl serve [--socket PATH | --tcp ADDR] [--resolve-every N]
@@ -93,7 +102,8 @@
 //! ```
 //!
 //! All subcommands also accept `--threads N` (worker threads for any
-//! parallel experiment machinery; overrides `DAP_THREADS`).
+//! parallel experiment machinery; overrides `DAP_THREADS`). An
+//! unrecognised `--flag` is a usage error (exit 2).
 
 use std::sync::Arc;
 
@@ -107,12 +117,14 @@ const HELP: &str = "\
 dapctl — driver for the DAP reproduction: simulations, traces, benches, daemon
 
 subcommands:
+  fig <id>                   Regenerate one paper figure/table (`dapctl fig`
+                             lists the ids); takes only --threads/--audit.
   list                       List the benchmark clones and their parameters.
   run <bench>                Run one rate-N workload and print statistics.
   record <bench> <file>      Record a clone's access trace to a DAPTRACE file.
   replay <file>              Drive every core with a recorded trace.
-  trace <bench>              Run with per-window DAP tracing; write artifacts.
-  trace summarize <file>     Summarize a window-trace artifact leniently.
+  trace <bench>              Run with per-window DAP tracing; write JSONL.
+  trace summarize <file>     Summarize a JSONL window-trace leniently.
   explore                    Explore a design-space grid with a crash-
                              tolerant multi-process worker fleet.
   bench                      Time the pinned regression suite (incl. dapd).
@@ -165,6 +177,8 @@ const EXIT_PARSE_ERRORS: i32 = 4;
 
 struct Args {
     positional: Vec<String>,
+    /// Every `--flag` given, without its `=value`.
+    flags: Vec<String>,
     policy: Option<PolicyKind>,
     cores: usize,
     arch: String,
@@ -206,6 +220,7 @@ struct Args {
 fn parse_args() -> Args {
     let mut args = Args {
         positional: Vec::new(),
+        flags: Vec::new(),
         policy: None,
         cores: 8,
         arch: "sectored".to_string(),
@@ -245,6 +260,10 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
+        if let Some(flag) = a.strip_prefix("--") {
+            let name = flag.split('=').next().unwrap_or_default();
+            args.flags.push(format!("--{name}"));
+        }
         let mut value = |name: &str| {
             it.next().unwrap_or_else(|| {
                 eprintln!("missing value for {name}");
@@ -336,14 +355,18 @@ fn parse_args() -> Args {
             "--incarnation" => {
                 args.incarnation = value("--incarnation").parse().unwrap_or_else(|_| usage())
             }
-            "--threads" => {
-                let v = value("--threads");
-                dap_bench::cli::apply_threads("dapctl", Some(&v));
+            "--threads" => dap_bench::cli::apply_threads("dapctl", &value("--threads")),
+            other if other.starts_with("--threads=") => {
+                dap_bench::cli::apply_threads("dapctl", &other["--threads=".len()..]);
             }
             "--audit" => dap_core::audit::set_mode_override(Some(dap_core::AuditMode::Strict)),
             other if other.starts_with("--audit=") => {
                 let mode = dap_core::audit::parse_mode(&other["--audit=".len()..]);
                 dap_core::audit::set_mode_override(Some(mode));
+            }
+            other if other.starts_with("--") => {
+                eprintln!("dapctl: unknown flag `{other}`");
+                usage()
             }
             _ => args.positional.push(a),
         }
@@ -418,6 +441,7 @@ fn main() {
     dap_bench::cli::run_interruptible("dapctl", || {
         let args = parse_args();
         match args.positional.first().map(String::as_str) {
+            Some("fig") => fig(&args),
             Some("list") => {
                 println!(
                     "{:<16} {:>9} {:>5} {:>7} {:>7} {:>8} {:>5} sensitivity",
@@ -560,22 +584,16 @@ fn main() {
                 );
                 // Benchmark names contain dots ("soplex.ref"): append the
                 // extension instead of `with_extension`, which truncates.
-                let stem = format!("{bench}-rate{}-{}", args.cores, args.arch);
-                let jsonl = out.join(format!("{stem}.jsonl"));
-                let csv = out.join(format!("{stem}.csv"));
-                for result in [
-                    dap_telemetry::export::write_window_trace_jsonl(&jsonl, &meta, &trace),
-                    dap_telemetry::export::write_window_trace_csv(&csv, &meta, &trace),
-                ] {
-                    if let Err(e) = result {
-                        eprintln!("error: {e}");
-                        std::process::exit(1);
-                    }
+                let jsonl = out.join(format!("{bench}-rate{}-{}.jsonl", args.cores, args.arch));
+                if let Err(e) =
+                    dap_telemetry::export::write_window_trace_jsonl(&jsonl, &meta, &trace)
+                {
+                    eprintln!("error: {e}");
+                    std::process::exit(1);
                 }
                 println!();
                 println!("artifacts:");
                 println!("  {}", jsonl.display());
-                println!("  {}", csv.display());
             }
             Some("bench") => {
                 // Parse the baseline up front (when comparing) so the
@@ -653,6 +671,39 @@ fn main() {
             None => usage(),
         }
     });
+}
+
+/// `dapctl fig <id>`: regenerates one figure from the
+/// [`dap_bench::figures::FIGURES`] table. Takes exactly one id and no
+/// flags besides `--threads`/`--audit`; anything else exits 2 with the
+/// list of ids.
+fn fig(args: &Args) {
+    if let Some(flag) = args
+        .flags
+        .iter()
+        .find(|f| !matches!(f.as_str(), "--threads" | "--audit"))
+    {
+        fig_usage(&format!("{flag} does not apply to figures"));
+    }
+    let figure = match &args.positional[1..] {
+        [] => fig_usage("missing figure id"),
+        [id] => dap_bench::figures::find(id)
+            .unwrap_or_else(|| fig_usage(&format!("unknown figure `{id}`"))),
+        [_, extra, ..] => fig_usage(&format!("unexpected argument `{extra}`")),
+    };
+    figure.run();
+}
+
+fn fig_usage(problem: &str) -> ! {
+    eprintln!(
+        "dapctl fig: {problem}\n\
+         usage: dapctl fig <id> [--threads N] [--audit[=strict|observe|off]]\n\
+         figures:"
+    );
+    for figure in dap_bench::figures::FIGURES {
+        eprintln!("  {}", figure.id);
+    }
+    std::process::exit(2);
 }
 
 /// `dapctl explore`: a crash-tolerant multi-process design-space
@@ -794,7 +845,8 @@ fn explore(args: &Args) {
         std::process::exit(1);
     });
     if cancel.is_cancelled() {
-        // run_interruptible turns this into exit 130 with the resume hint.
+        // run_interruptible turns this into exit 130; re-running the same
+        // command resumes from --out.
         return;
     }
     let report =
@@ -1283,49 +1335,20 @@ fn loadgen(args: &Args) {
     }
 }
 
-/// `dapctl trace summarize`: reads a window-trace artifact leniently
-/// (JSONL or CSV by extension) and prints the human digest. Unparseable
-/// record lines are skipped with a warning; unless `--lenient-ok` is
-/// given, they make the process exit with [`EXIT_PARSE_ERRORS`].
+/// `dapctl trace summarize`: reads a JSONL window-trace artifact
+/// leniently and prints the human digest. Unparseable record lines are
+/// skipped with a warning; unless `--lenient-ok` is given, they make the
+/// process exit with [`EXIT_PARSE_ERRORS`].
 fn summarize_artifact(file: &str, lenient_ok: bool) {
-    let path = std::path::Path::new(file);
-    let parse_errors = if path.extension().is_some_and(|e| e == "csv") {
-        match dap_telemetry::export::read_window_trace_csv_lenient(path) {
-            Ok(recovered) => {
-                // The lenient CSV reader reconstructs records only; the
-                // window length lives in the JSONL twin's header.
-                let meta = TraceMeta {
-                    label: file.to_string(),
-                    arch: String::new(),
-                    window_cycles: 0,
-                };
-                let trace = dap_telemetry::WindowTrace {
-                    records: recovered.records,
-                    spilled: 0,
-                    dropped: 0,
-                };
-                print!("{}", dap_telemetry::summarize(&meta, &trace));
-                recovered.parse_errors
-            }
-            Err(e) => {
+    let recovered =
+        dap_telemetry::export::read_window_trace_jsonl_lenient(std::path::Path::new(file))
+            .unwrap_or_else(|e| {
                 eprintln!("error: {e}");
                 std::process::exit(1);
-            }
-        }
-    } else {
-        match dap_telemetry::export::read_window_trace_jsonl_lenient(path) {
-            Ok(recovered) => {
-                print!("{}", dap_telemetry::summarize_recovered(&recovered));
-                recovered.parse_errors
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-    };
-    if parse_errors > 0 {
-        eprintln!("warning: {parse_errors} records unparseable");
+            });
+    print!("{}", dap_telemetry::summarize_recovered(&recovered));
+    if recovered.parse_errors > 0 {
+        eprintln!("warning: {} records unparseable", recovered.parse_errors);
         if !lenient_ok {
             std::process::exit(EXIT_PARSE_ERRORS);
         }

@@ -1,14 +1,17 @@
 //! # dap-bench — the benchmark harness
 //!
-//! One binary per paper figure/table (`cargo run --release -p dap-bench
-//! --bin fig06_dap_sectored`), plus dependency-free microbenchmarks for
-//! the hot structures (`cargo bench`) built on [`timing::Harness`].
+//! The `dapctl` binary regenerates every paper figure/table from one
+//! table ([`figures`]): `cargo run --release -p dap-bench --bin dapctl --
+//! fig fig06_dap_sectored`. Its other subcommands run ad-hoc simulations,
+//! window traces, the pinned regression suite ([`regress`]) and the
+//! `dapd` daemon. Dependency-free microbenchmarks for the hot structures
+//! (`cargo bench`) build on [`timing::Harness`].
 //!
-//! Every binary accepts the `DAP_INSTRUCTIONS` environment variable to
-//! override the per-core instruction budget; larger budgets reduce warmup
-//! bias at proportional runtime. Figure binaries also accept
-//! `--threads N` (see [`cli`]) and emit machine-readable window-trace
-//! artifacts when `DAP_TELEMETRY=1` (see [`artifacts`]).
+//! Figures honor the `DAP_INSTRUCTIONS` environment variable to override
+//! the per-core instruction budget; larger budgets reduce warmup bias at
+//! proportional runtime. `dapctl` also accepts `--threads N` (see
+//! [`cli`]), and fig01/06/14/15 emit machine-readable window-trace
+//! artifacts when `DAP_TELEMETRY=1` (see [`figures`]).
 
 // `deny` rather than `forbid`: the `sigint` module registers the Ctrl-C
 // handler through C `signal(2)` (std has no signal API) and carries the
@@ -16,8 +19,8 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod artifacts;
 pub mod cli;
+pub mod figures;
 pub mod regress;
 pub mod sigint;
 pub mod timing;

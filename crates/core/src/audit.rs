@@ -26,7 +26,7 @@
 //!
 //! The default is `Strict` in debug builds and `Off` in release builds;
 //! the `DAP_AUDIT` environment variable (`1`/`strict`, `observe`,
-//! `0`/`off`) and the figure binaries' `--audit` flag override it. The
+//! `0`/`off`) and `dapctl`'s `--audit` flag override it. The
 //! `audit-off` cargo feature compiles the whole machinery to no-ops
 //! (mirroring `telemetry-off`), for builds that must not even carry the
 //! mode checks.
@@ -39,7 +39,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use crate::telemetry::{SourceFractions, WindowSnapshot, MAX_SOURCES};
-use crate::window::WindowStats;
+use dap_decide::window::WindowStats;
 
 /// Whether this build performs audit checks (`false` under `audit-off`).
 pub const fn enabled() -> bool {
@@ -76,7 +76,7 @@ static OBSERVED_VIOLATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Installs (or clears) a process-wide audit mode override that takes
 /// precedence over [`AUDIT_ENV`] and the build default. Used by the
-/// `--audit` flag of the figure binaries.
+/// `--audit` flag of `dapctl`.
 pub fn set_mode_override(mode: Option<AuditMode>) {
     let encoded = match mode {
         None => 0,
@@ -264,8 +264,8 @@ pub const PROPORTIONALITY_SLACK: f64 = 0.05;
 const TECHNIQUES: [&str; 5] = ["fwb", "wb", "ifrm", "sfrm", "write_through"];
 
 /// The per-technique credit cap (mirrors
-/// [`credits::MAX_APPLICATIONS_PER_WINDOW`][crate::credits]).
-const CREDIT_CAP: u64 = crate::credits::MAX_APPLICATIONS_PER_WINDOW as u64;
+/// [`credits::MAX_APPLICATIONS_PER_WINDOW`][dap_decide::credits]).
+const CREDIT_CAP: u64 = dap_decide::credits::MAX_APPLICATIONS_PER_WINDOW as u64;
 
 /// Checks every window boundary of one controller. Owned by
 /// [`DapController`][crate::DapController]; never mutates anything the

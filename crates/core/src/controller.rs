@@ -7,18 +7,18 @@
 
 use std::sync::Arc;
 
-use crate::alloy::AlloyDapSolver;
 use crate::audit::{self, AuditMode, AuditReport, WindowAuditor};
-use crate::credits::{CreditBank, CreditCounter};
-use crate::degrade::EffectiveBandwidth;
-use crate::edram::EdramDapSolver;
-use crate::sectored::SectoredDapSolver;
 use crate::telemetry::{
     alloy_fractions, alloy_fractions_weighted, edram_fractions, edram_fractions_weighted,
     sectored_fractions, sectored_fractions_weighted, SinkSlot, SourceFractions, TechniqueCounts,
     TelemetrySink, WindowSnapshot,
 };
-use crate::window::{WindowBudget, WindowStats};
+use dap_decide::alloy::AlloyDapSolver;
+use dap_decide::credits::{CreditBank, CreditCounter};
+use dap_decide::degrade::EffectiveBandwidth;
+use dap_decide::edram::EdramDapSolver;
+use dap_decide::sectored::SectoredDapSolver;
+use dap_decide::window::{WindowBudget, WindowStats};
 
 pub use dap_decide::config::{CacheArchitecture, DapConfig, DecisionStats, Technique};
 

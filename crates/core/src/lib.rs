@@ -25,8 +25,9 @@
 //!
 //! which is maximized — at `sum(B_i)` — exactly when accesses are distributed
 //! in proportion to source bandwidths, `B_1/f_1 = ... = B_n/f_n` (Eq. 4).
-//! [`bandwidth`] implements this model; the solvers in [`sectored`],
-//! [`alloy`], and [`edram`] chase that optimum dynamically, one observation
+//! [`dap_decide::bandwidth`] implements this model; the solvers in
+//! [`dap_decide::sectored`], [`dap_decide::alloy`], and
+//! [`dap_decide::edram`] chase that optimum dynamically, one observation
 //! window at a time.
 //!
 //! ## Quick example
@@ -60,24 +61,23 @@ pub mod audit;
 pub mod controller;
 pub mod telemetry;
 
-// The pure decision arithmetic now lives in the allocation-light
-// `dap-decide` crate so it can be embedded outside the simulator (the
-// `dapd` daemon, firmware, `no_std` targets). Re-exported module-by-module
-// so every historical `dap_core::<module>::...` path keeps resolving.
-pub use dap_decide::{alloy, bandwidth, config, credits, degrade, edram, ratio, sectored, window};
-
-pub use alloy::{AlloyDapSolver, AlloyPlan};
+// The pure decision arithmetic lives in the allocation-light `dap-decide`
+// crate so it can be embedded outside the simulator (the `dapd` daemon,
+// firmware, `no_std` targets); its modules are reached as
+// `dap_decide::<module>`, and the items the simulator uses are
+// re-exported here at the crate root.
 pub use audit::{AuditError, AuditMode, AuditReport, AuditViolation, Invariant, WindowAuditor};
-pub use bandwidth::{
+pub use controller::{CacheArchitecture, DapConfig, DapController, DecisionStats, Technique};
+pub use dap_decide::alloy::{AlloyDapSolver, AlloyPlan};
+pub use dap_decide::bandwidth::{
     delivered_bandwidth, optimal_fractions, read_kernel_bandwidth, BandwidthSource, SystemBandwidth,
 };
-pub use controller::{CacheArchitecture, DapConfig, DapController, DecisionStats, Technique};
-pub use credits::{CreditBank, CreditCounter, ScaledCreditCounter};
-pub use degrade::{degraded_k, EffectiveBandwidth};
-pub use edram::{EdramDapSolver, EdramPlan};
-pub use ratio::Ratio;
-pub use sectored::{SectoredDapSolver, SectoredPlan};
+pub use dap_decide::credits::{CreditBank, CreditCounter, ScaledCreditCounter};
+pub use dap_decide::degrade::{degraded_k, EffectiveBandwidth};
+pub use dap_decide::edram::{EdramDapSolver, EdramPlan};
+pub use dap_decide::ratio::Ratio;
+pub use dap_decide::sectored::{SectoredDapSolver, SectoredPlan};
+pub use dap_decide::window::{WindowBudget, WindowStats};
 pub use telemetry::{
     ProfileWindow, SourceFractions, TechniqueCounts, TelemetrySink, WindowSnapshot,
 };
-pub use window::{WindowBudget, WindowStats};

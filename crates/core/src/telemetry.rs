@@ -16,11 +16,11 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::alloy::AlloyPlan;
-use crate::edram::EdramPlan;
-use crate::ratio::Ratio;
-use crate::sectored::SectoredPlan;
-use crate::window::WindowStats;
+use dap_decide::alloy::AlloyPlan;
+use dap_decide::edram::EdramPlan;
+use dap_decide::ratio::Ratio;
+use dap_decide::sectored::SectoredPlan;
+use dap_decide::window::WindowStats;
 
 /// The maximum number of bandwidth sources any architecture exposes
 /// (read channels, write channels, main memory — the eDRAM case).

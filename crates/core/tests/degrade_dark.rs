@@ -3,13 +3,12 @@
 //! A window that measures a source at zero bandwidth ("dark") must
 //! produce an *exactly*-zero Eq. 4 fraction and a zero access budget for
 //! that source — never a NaN, an infinity, or a panic — and the other
-//! sources' arithmetic must be unperturbed. These tests go through the
-//! `dap_core::` re-export paths on purpose: they double as a check that
-//! the `dap-decide` extraction left every historical path resolving.
+//! sources' arithmetic must be unperturbed. The arithmetic lives in
+//! `dap-decide`; the tests reach it through `dap_decide::` paths.
 
-use dap_core::bandwidth::{delivered_bandwidth, optimal_fractions, BandwidthSource};
-use dap_core::config::DapConfig;
-use dap_core::degrade::{degraded_k, EffectiveBandwidth};
+use dap_decide::bandwidth::{delivered_bandwidth, optimal_fractions, BandwidthSource};
+use dap_decide::config::DapConfig;
+use dap_decide::degrade::{degraded_k, EffectiveBandwidth};
 
 #[test]
 fn dark_mm_fraction_is_exactly_zero_not_nan() {

@@ -9,10 +9,10 @@
 //! [`CellError`](crate::exec::CellError)s, checkpointed progress is kept,
 //! and a `DAP_RESUME` re-run completes the grid bit-identically.
 //!
-//! The [`global_cancel_token`] is the process-wide instance the CLI
-//! binaries' Ctrl-C handler trips; [`ParallelExecutor::from_env`]
-//! (`crate::exec`) attaches it automatically so every figure binary is
-//! interruptible without plumbing.
+//! The [`global_cancel_token`] is the process-wide instance the CLI's
+//! Ctrl-C handler trips; [`ParallelExecutor::from_env`] (`crate::exec`)
+//! attaches it automatically so every figure run is interruptible
+//! without plumbing.
 //!
 //! [`ParallelExecutor::from_env`]: crate::exec::ParallelExecutor::from_env
 

@@ -125,9 +125,16 @@ pub fn fig_fault_degradation(instructions: u64) -> FigureResult {
             ],
         ));
         if cancelled {
-            // Stop starting new scenarios: finished cells are in the
-            // checkpoint manifest, and `DAP_RESUME` picks up from here.
+            // Stop starting new scenarios. With a manifest open, finished
+            // cells are in it and a `DAP_RESUME` re-run picks up from here.
             eprintln!("fig_fault_degradation: cancelled after scenario {name}; partial figure");
+            if let Some(path) = manifest.as_ref().and_then(CheckpointManifest::path) {
+                eprintln!(
+                    "fig_fault_degradation: finished cells are checkpointed — \
+                     re-run with DAP_RESUME={} to continue",
+                    path.display()
+                );
+            }
             break;
         }
     }

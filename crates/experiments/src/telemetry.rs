@@ -13,15 +13,13 @@
 //! Artifact output is controlled by two environment variables read by
 //! [`artifact_dir_from_env`]:
 //!
-//! * `DAP_TELEMETRY=1` — figure binaries emit window-trace artifacts;
+//! * `DAP_TELEMETRY=1` — figure runs emit window-trace artifacts;
 //! * `DAP_TELEMETRY_DIR=<dir>` — where (default `target/telemetry`).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use dap_telemetry::export::{
-    write_window_trace_csv, write_window_trace_jsonl, ArtifactError, TraceMeta,
-};
+use dap_telemetry::export::{write_window_trace_jsonl, ArtifactError, TraceMeta};
 use dap_telemetry::metrics::{MetricsRegistry, MetricsSnapshot};
 use dap_telemetry::window::{WindowTrace, WindowTraceRecorder};
 use mem_sim::{CacheKind, SubsystemTelemetry, System, SystemConfig};
@@ -174,7 +172,7 @@ pub fn run_variant_grid_traced(
     (per_mix, telemetry)
 }
 
-/// Where figure binaries write telemetry artifacts, when enabled:
+/// Where figure runs write telemetry artifacts, when enabled:
 /// `Some(dir)` iff `DAP_TELEMETRY` is set to something other than
 /// `0`/`false`/empty (directory from `DAP_TELEMETRY_DIR`, default
 /// `target/telemetry`). Also answers `None` under `telemetry-off` —
@@ -194,8 +192,8 @@ pub fn artifact_dir_from_env() -> Option<PathBuf> {
     )
 }
 
-/// Writes one variant's window traces as versioned JSONL + CSV pairs
-/// under `dir` (`<dir>/<figure>/<variant>/<mix>.{jsonl,csv}`), creating
+/// Writes one variant's window traces as versioned JSONL artifacts
+/// under `dir` (`<dir>/<figure>/<variant>/<mix>.jsonl`), creating
 /// directories as needed. Returns the paths written.
 ///
 /// # Errors
@@ -223,11 +221,8 @@ pub fn export_variant_traces(
         // at the last dot and collide e.g. soplex.ref with soplex.pds).
         let base = dir.join(safe(figure)).join(safe(&variant.label));
         let jsonl = base.join(format!("{}.jsonl", safe(mix_name)));
-        let csv = base.join(format!("{}.csv", safe(mix_name)));
         write_window_trace_jsonl(&jsonl, &meta, trace)?;
-        write_window_trace_csv(&csv, &meta, trace)?;
         written.push(jsonl);
-        written.push(csv);
     }
     Ok(written)
 }
@@ -317,7 +312,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dap-export-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let written = export_variant_traces(&dir, "fig-test", 64, &telemetry[0]).expect("export");
-        assert_eq!(written.len(), 2, "one jsonl + one csv");
+        assert_eq!(written.len(), 1, "one jsonl per traced mix");
         for path in &written {
             assert!(path.exists(), "{} missing", path.display());
         }

@@ -182,19 +182,22 @@ impl FlatTier {
             chosen.insert(page, ());
             covered += u64::from(count);
         }
-        // Charge migrations: pages entering the fast tier.
-        for &page in chosen.keys() {
+        // Charge migrations: pages entering the fast tier. Migrations
+        // queue on the DRAM channels, so they are issued in a fixed order
+        // (hottest first, then page number), never in hash-map order.
+        for &(page, _) in &pages[..chosen.len()] {
             if !self.fast_pages.contains_key(&page) {
                 self.migrate(page, now, mm, true);
             }
         }
         // Pages leaving the fast tier (OS-visible: data must move back).
-        let leaving: Vec<u64> = self
+        let mut leaving: Vec<u64> = self
             .fast_pages
             .keys()
             .filter(|p| !chosen.contains_key(p))
             .copied()
             .collect();
+        leaving.sort_unstable();
         for page in leaving {
             self.migrate(page, now, mm, false);
         }

@@ -2,6 +2,7 @@
 //! depends on must emerge from the model before any experiment is
 //! meaningful.
 
+use mem_sim::mscache::PlacementGoal;
 use mem_sim::trace::{ChaseTrace, StrideTrace, TraceSource};
 use mem_sim::{CacheKind, DapPolicy, System, SystemConfig};
 
@@ -241,4 +242,22 @@ fn deterministic_across_runs() {
     let (a, b) = (run(), run());
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.per_core[0].cycles, b.per_core[0].cycles);
+}
+
+#[test]
+fn flat_tier_deterministic_across_runs() {
+    // Each placement epoch migrates hundreds of pages; the order they
+    // are issued in moves every later DRAM timing, so it must not come
+    // from hash-map iteration.
+    let run = || {
+        let config = SystemConfig::flat_tier(8, PlacementGoal::BandwidthOptimal);
+        let traces = workloads::rate_mode(workloads::spec("parboil-lbm").unwrap(), 8);
+        System::new(config, traces).run(40_000)
+    };
+    let first = run();
+    for _ in 0..3 {
+        let again = run();
+        assert_eq!(first.stats, again.stats);
+        assert_eq!(first.per_core, again.per_core);
+    }
 }

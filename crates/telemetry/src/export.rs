@@ -1,15 +1,11 @@
-//! Versioned run artifacts: JSONL and CSV window traces, with parsers.
+//! Versioned run artifacts: JSONL window traces, with parsers.
 //!
 //! Artifact layout (schema `dap-window-trace`, version [`SCHEMA_VERSION`]):
-//!
-//! * **JSONL** — first line is a header object carrying the schema name,
-//!   version, run metadata ([`TraceMeta`]), and retention counts; every
-//!   following line is one window record. Streams and `grep`s well, and
-//!   the in-tree [`crate::json`] parser reads it back losslessly
-//!   (fraction floats are printed shortest-round-trip).
-//! * **CSV** — a `#`-prefixed comment line with the same header fields,
-//!   then a column-name row and one row per window. Loads directly into
-//!   pandas/gnuplot (`comment='#'`).
+//! the first line is a header object carrying the schema name, version,
+//! run metadata ([`TraceMeta`]), and retention counts; every following
+//! line is one window record. Streams and `grep`s well, and the in-tree
+//! [`crate::json`] parser reads it back losslessly (fraction floats are
+//! printed shortest-round-trip).
 //!
 //! Writers create missing parent directories and report the offending
 //! path on failure ([`ArtifactError`]) rather than a bare `io::Error`.
@@ -460,309 +456,6 @@ pub fn read_window_trace_jsonl_lenient(path: &Path) -> Result<RecoveredWindowTra
     })
 }
 
-/// Column names of the CSV artifact body, in order.
-pub const CSV_COLUMNS: &[&str] = &[
-    "window",
-    "end_cycle",
-    "partitioned",
-    "cache_accesses",
-    "cache_read_accesses",
-    "cache_write_accesses",
-    "mm_accesses",
-    "read_misses",
-    "writes",
-    "clean_read_hits",
-    "granted_fwb",
-    "granted_wb",
-    "granted_ifrm",
-    "granted_sfrm",
-    "granted_wt",
-    "applied_fwb",
-    "applied_wb",
-    "applied_ifrm",
-    "applied_sfrm",
-    "applied_wt",
-    "sources",
-    "f0",
-    "f1",
-    "f2",
-    "ideal0",
-    "ideal1",
-    "ideal2",
-];
-
-/// Renders a full CSV artifact (comment header + column row + one row
-/// per window). Unused third-source columns are written as `0`.
-pub fn window_trace_csv(meta: &TraceMeta, trace: &WindowTrace) -> String {
-    use std::fmt::Write as _;
-    let mut out = format!(
-        "# {SCHEMA_NAME} v{SCHEMA_VERSION} label={} arch={} window_cycles={} windows={} spilled={} dropped={}\n",
-        meta.label,
-        meta.arch,
-        meta.window_cycles,
-        trace.records.len(),
-        trace.spilled,
-        trace.dropped,
-    );
-    out.push_str(&CSV_COLUMNS.join(","));
-    out.push('\n');
-    for r in &trace.records {
-        let f = &r.fractions;
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            r.window_index,
-            r.end_cycle,
-            u8::from(r.partitioned),
-            r.stats.cache_accesses,
-            r.stats.cache_read_accesses,
-            r.stats.cache_write_accesses,
-            r.stats.mm_accesses,
-            r.stats.read_misses,
-            r.stats.writes,
-            r.stats.clean_read_hits,
-            r.granted.fwb,
-            r.granted.wb,
-            r.granted.ifrm,
-            r.granted.sfrm,
-            r.granted.write_through,
-            r.applied.fwb,
-            r.applied.wb,
-            r.applied.ifrm,
-            r.applied.sfrm,
-            r.applied.write_through,
-            f.sources,
-            f.solved[0],
-            f.solved[1],
-            f.solved[2],
-            f.ideal[0],
-            f.ideal[1],
-            f.ideal[2],
-        );
-    }
-    out
-}
-
-/// Writes the CSV artifact to `path`, creating parent directories.
-///
-/// # Errors
-///
-/// Returns an [`ArtifactError`] naming the path that failed.
-pub fn write_window_trace_csv(
-    path: &Path,
-    meta: &TraceMeta,
-    trace: &WindowTrace,
-) -> Result<(), ArtifactError> {
-    ensure_parent_dir(path)?;
-    fs::write(path, window_trace_csv(meta, trace)).map_err(io_err("write", path))
-}
-
-/// Reads the window records back out of a CSV artifact.
-///
-/// Only the per-window rows are reconstructed (the comment header is
-/// validated for schema name/version but its metadata is not parsed —
-/// the JSONL artifact is the authoritative machine-readable form).
-///
-/// # Errors
-///
-/// Returns an [`ArtifactError`] naming the path and line of the first
-/// problem.
-pub fn read_window_trace_csv(path: &Path) -> Result<Vec<WindowSnapshot>, ArtifactError> {
-    let text = fs::read_to_string(path).map_err(io_err("read", path))?;
-    let parse_err = |line: usize, message: String| ArtifactError::Parse {
-        path: path.to_path_buf(),
-        line,
-        message,
-    };
-    let mut lines = text.lines().enumerate();
-    let (_, comment) = lines
-        .next()
-        .ok_or_else(|| parse_err(1, "empty artifact".to_string()))?;
-    let expected_tag = format!("# {SCHEMA_NAME} v{SCHEMA_VERSION} ");
-    if !comment.starts_with(&expected_tag) {
-        return Err(parse_err(
-            1,
-            format!("missing `{expected_tag}...` comment header"),
-        ));
-    }
-    let (_, columns) = lines
-        .next()
-        .ok_or_else(|| parse_err(2, "missing column row".to_string()))?;
-    if columns != CSV_COLUMNS.join(",") {
-        return Err(parse_err(2, "unexpected column layout".to_string()));
-    }
-    let mut records = Vec::new();
-    for (i, line) in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != CSV_COLUMNS.len() {
-            return Err(parse_err(
-                i + 1,
-                format!("{} fields, expected {}", fields.len(), CSV_COLUMNS.len()),
-            ));
-        }
-        let int = |idx: usize| -> Result<u64, ArtifactError> {
-            fields[idx]
-                .parse::<u64>()
-                .map_err(|_| parse_err(i + 1, format!("bad integer in `{}`", CSV_COLUMNS[idx])))
-        };
-        let int32 = |idx: usize| -> Result<u32, ArtifactError> {
-            int(idx).and_then(|v| {
-                u32::try_from(v)
-                    .map_err(|_| parse_err(i + 1, format!("`{}` exceeds u32", CSV_COLUMNS[idx])))
-            })
-        };
-        let float = |idx: usize| -> Result<f64, ArtifactError> {
-            fields[idx]
-                .parse::<f64>()
-                .map_err(|_| parse_err(i + 1, format!("bad float in `{}`", CSV_COLUMNS[idx])))
-        };
-        records.push(WindowSnapshot {
-            window_index: int(0)?,
-            end_cycle: int(1)?,
-            partitioned: int(2)? != 0,
-            stats: WindowStats {
-                cache_accesses: int32(3)?,
-                cache_read_accesses: int32(4)?,
-                cache_write_accesses: int32(5)?,
-                mm_accesses: int32(6)?,
-                read_misses: int32(7)?,
-                writes: int32(8)?,
-                clean_read_hits: int32(9)?,
-            },
-            granted: TechniqueCounts {
-                fwb: int32(10)?,
-                wb: int32(11)?,
-                ifrm: int32(12)?,
-                sfrm: int32(13)?,
-                write_through: int32(14)?,
-            },
-            applied: TechniqueCounts {
-                fwb: int32(15)?,
-                wb: int32(16)?,
-                ifrm: int32(17)?,
-                sfrm: int32(18)?,
-                write_through: int32(19)?,
-            },
-            fractions: SourceFractions {
-                sources: int32(20)? as u8,
-                solved: [float(21)?, float(22)?, float(23)?],
-                ideal: [float(24)?, float(25)?, float(26)?],
-            },
-        });
-    }
-    Ok(records)
-}
-
-/// CSV window records read leniently: corrupt rows skipped and counted
-/// instead of failing the whole artifact.
-#[derive(Debug, Clone)]
-pub struct RecoveredCsvTrace {
-    /// Every row that parsed, in file order.
-    pub records: Vec<WindowSnapshot>,
-    /// Rows that were corrupt or truncated and were skipped.
-    pub parse_errors: u64,
-}
-
-/// Reads a CSV artifact tolerating corrupt rows — the CSV twin of
-/// [`read_window_trace_jsonl_lenient`], with the same contract: a torn
-/// tail or a corrupted row costs that record, not the artifact, and
-/// every skipped row is counted in [`RecoveredCsvTrace::parse_errors`].
-/// The schema comment header and the column row must still be intact —
-/// without them nothing identifies the file as a window trace (or says
-/// how to interpret its columns).
-///
-/// # Errors
-///
-/// Returns an [`ArtifactError`] only for I/O failures or a missing /
-/// mismatching comment header or column row.
-pub fn read_window_trace_csv_lenient(path: &Path) -> Result<RecoveredCsvTrace, ArtifactError> {
-    let text = fs::read_to_string(path).map_err(io_err("read", path))?;
-    let parse_err = |line: usize, message: String| ArtifactError::Parse {
-        path: path.to_path_buf(),
-        line,
-        message,
-    };
-    let mut lines = text.lines();
-    let comment = lines
-        .next()
-        .ok_or_else(|| parse_err(1, "empty artifact".to_string()))?;
-    let expected_tag = format!("# {SCHEMA_NAME} v{SCHEMA_VERSION} ");
-    if !comment.starts_with(&expected_tag) {
-        return Err(parse_err(
-            1,
-            format!("missing `{expected_tag}...` comment header"),
-        ));
-    }
-    let columns = lines
-        .next()
-        .ok_or_else(|| parse_err(2, "missing column row".to_string()))?;
-    if columns != CSV_COLUMNS.join(",") {
-        return Err(parse_err(2, "unexpected column layout".to_string()));
-    }
-    let mut records = Vec::new();
-    let mut parse_errors = 0u64;
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match csv_row_to_snapshot(line) {
-            Some(record) => records.push(record),
-            None => parse_errors += 1,
-        }
-    }
-    Ok(RecoveredCsvTrace {
-        records,
-        parse_errors,
-    })
-}
-
-/// Parses one CSV body row, `None` on any missing or ill-typed field.
-fn csv_row_to_snapshot(line: &str) -> Option<WindowSnapshot> {
-    let fields: Vec<&str> = line.split(',').collect();
-    if fields.len() != CSV_COLUMNS.len() {
-        return None;
-    }
-    let int = |idx: usize| fields[idx].parse::<u64>().ok();
-    let int32 = |idx: usize| fields[idx].parse::<u32>().ok();
-    let float = |idx: usize| fields[idx].parse::<f64>().ok();
-    Some(WindowSnapshot {
-        window_index: int(0)?,
-        end_cycle: int(1)?,
-        partitioned: int(2)? != 0,
-        stats: WindowStats {
-            cache_accesses: int32(3)?,
-            cache_read_accesses: int32(4)?,
-            cache_write_accesses: int32(5)?,
-            mm_accesses: int32(6)?,
-            read_misses: int32(7)?,
-            writes: int32(8)?,
-            clean_read_hits: int32(9)?,
-        },
-        granted: TechniqueCounts {
-            fwb: int32(10)?,
-            wb: int32(11)?,
-            ifrm: int32(12)?,
-            sfrm: int32(13)?,
-            write_through: int32(14)?,
-        },
-        applied: TechniqueCounts {
-            fwb: int32(15)?,
-            wb: int32(16)?,
-            ifrm: int32(17)?,
-            sfrm: int32(18)?,
-            write_through: int32(19)?,
-        },
-        fractions: SourceFractions {
-            sources: u8::try_from(int32(20)?).ok()?,
-            solved: [float(21)?, float(22)?, float(23)?],
-            ideal: [float(24)?, float(25)?, float(26)?],
-        },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -834,18 +527,6 @@ mod tests {
         assert_eq!(trace2.records, trace.records);
         assert_eq!(trace2.spilled, 2);
         assert_eq!(trace2.dropped, 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn csv_round_trip_is_lossless() {
-        let (meta, trace) = sample_trace();
-        let dir = std::env::temp_dir().join("dap-telemetry-test-csv");
-        let path = dir.join("deep/trace.csv");
-        let _ = fs::remove_dir_all(&dir);
-        write_window_trace_csv(&path, &meta, &trace).unwrap();
-        let records = read_window_trace_csv(&path).unwrap();
-        assert_eq!(records, trace.records);
         let _ = fs::remove_dir_all(&dir);
     }
 

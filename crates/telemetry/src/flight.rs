@@ -23,7 +23,7 @@
 //!
 //! Under the `telemetry-off` feature [`FlightRecorder::record`] is a
 //! no-op and dumps contain only the meta line, so the recorder
-//! compiles away from figure binaries with byte-identical output —
+//! compiles away from figure runs with byte-identical output —
 //! the same contract as the profiler.
 
 use std::io::Write as _;

@@ -1,6 +1,6 @@
 //! Human-readable digest of a window trace.
 //!
-//! The JSONL/CSV artifacts are for machines; [`summarize`] renders the
+//! The JSONL artifacts are for machines; [`summarize`] renders the
 //! same trace as a few lines a person can read in a terminal — window
 //! counts, how often the controller actually partitioned, total technique
 //! credits granted vs. applied, and how close the solved fractions sat to

@@ -6,16 +6,17 @@
 # (default: all available cores). Results are bit-identical at any thread
 # count — see crates/experiments/tests/determinism.rs.
 #
-# Fails loudly: any binary that exits non-zero aborts the whole run
-# (`tee` runs under pipefail, and stderr is left on the terminal).
+# Every figure runs through `dapctl fig <id>`. Fails loudly: any figure
+# that exits non-zero aborts the whole run (`tee` runs under pipefail,
+# and stderr is left on the terminal).
 set -euo pipefail
 cd "$(dirname "$0")"
 mkdir -p experiment_results
 BUDGET="${DAP_INSTRUCTIONS:-1200000}"
 SMALL=$((BUDGET / 2))
-run() { # bin budget
+run() { # figure-id budget
     echo "== $1 (budget $2)"
-    DAP_INSTRUCTIONS=$2 cargo run --release --offline -p dap-bench --bin "$1" \
+    DAP_INSTRUCTIONS=$2 cargo run --release --offline -p dap-bench --bin dapctl -- fig "$1" \
         | tee "experiment_results/$1.txt"
     echo
 }
