@@ -63,3 +63,45 @@ fn stdout_is_the_experiment_report() {
     let expected = format!("{}\n", experiments::figures::fig05_tag_cache(2000));
     assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
 }
+
+/// Runs `dapctl fig <id>` with a 1 ms per-cell deadline, which no cell
+/// at 20k instructions per core can meet.
+fn fig_past_deadline(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_dapctl"))
+        .args(args)
+        .env("DAP_CELL_DEADLINE_MS", "1")
+        .env("DAP_INSTRUCTIONS", "20000")
+        .env("DAP_QUIET", "1")
+        .env_remove("DAP_THREADS")
+        .env_remove("DAP_TELEMETRY")
+        .env_remove("DAP_RESUME")
+        .output()
+        .expect("spawn dapctl")
+}
+
+#[test]
+fn cell_deadline_applies_to_every_figure() {
+    let out = fig_past_deadline(&["fig", "fig06_dap_sectored", "--threads", "1"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a figure past its deadline exited 0");
+    assert!(
+        stderr.contains("exceeded its deadline"),
+        "stderr does not name the deadline:\n{stderr}"
+    );
+}
+
+#[test]
+fn failed_fault_figure_prints_no_invented_rows() {
+    let out = fig_past_deadline(&["fig", "fig_fault_degradation"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a failed Fig. F exited 0:\n{stdout}");
+    assert!(
+        !stdout.contains("0.0000"),
+        "Fig. F printed rows no cell produced:\n{stdout}"
+    );
+    assert!(
+        stderr.contains("exceeded its deadline"),
+        "stderr does not name the deadline:\n{stderr}"
+    );
+}

@@ -4,10 +4,12 @@
 //! map, for tests) of finished grid cells, each keyed by [`cell_key`] — a
 //! digest of the cell's full [`SystemConfig`] fingerprint (fault schedule
 //! included), policy, mix, and instruction budget. A grid run through
-//! [`run_variant_grid_recovered`] records every finished cell here; after
-//! a crash or kill, re-running the same grid with the same manifest (see
-//! `DAP_RESUME`) answers the finished cells from the manifest and only
-//! simulates the rest.
+//! [`run_variant_grid_recovered`] records every finished cell here as it
+//! finishes; after a crash, kill or Ctrl-C, re-running the same grid with
+//! the same manifest answers the finished cells from the manifest and only
+//! simulates the rest. `fig_fault_degradation` is the one figure that
+//! opens a manifest, from `DAP_RESUME`; the `dapctl explore` workers keep
+//! one manifest each (see [`crate::shard`]).
 //!
 //! Loading is lenient by construction: a process killed mid-append leaves
 //! a truncated final line, which must cost that one cell, not the whole

@@ -1,34 +1,34 @@
 //! Deterministic, crash-tolerant parallel execution of experiment grids.
 //!
 //! The paper's evaluation is a grid of mix × policy × architecture
-//! simulations, each independent and deterministic. An [`ExperimentPlan`]
-//! collects those simulations as closures; a [`ParallelExecutor`] drains
-//! the plan over a shared work queue on `std::thread::scope`, returning
-//! results **in plan order** regardless of which thread finished which
-//! unit first. Because every unit is deterministic and results are
-//! reassembled by index, the parallel output is bit-identical to running
-//! the same plan on one thread (`crates/experiments/tests/determinism.rs`
-//! proves this).
+//! simulations, each independent and deterministic. Every figure hands
+//! its cells to one loop, [`ParallelExecutor::run_cells`]: a cell is a
+//! labelled closure ([`CellSpec`]), workers claim cells from a shared
+//! atomic cursor on `std::thread::scope`, and results come back **in
+//! cell order** regardless of which thread finished which cell first.
+//! Because every cell is deterministic and results are reassembled by
+//! index, the parallel output is bit-identical to running the same cells
+//! on one thread (`crates/experiments/tests/determinism.rs` proves this).
 //!
-//! Every unit runs under [`catch_unwind`], so one panicking cell cannot
-//! take down its siblings: [`ParallelExecutor::try_run`] returns a
-//! [`CellError`] (panic payload + cell identity) in that cell's slot and
-//! every other result untouched, and [`ParallelExecutor::run_cells`]
-//! additionally retries failed cells a bounded number of times.
-//! Long grids can also checkpoint finished cells and resume after a crash
-//! — see [`run_variant_grid_recovered`] and
-//! [`CheckpointManifest`](crate::checkpoint::CheckpointManifest).
+//! Every cell runs under [`catch_unwind`], so one failing cell cannot
+//! take down its siblings: its slot holds a [`CellError`] (label,
+//! fingerprint, [`CellErrorKind`], message) and every other result is
+//! untouched. [`ParallelExecutor::run`] drains the grid and then panics
+//! with the first error; [`run_variant_grid_recovered`] keeps the errors
+//! and can checkpoint finished cells into a
+//! [`CheckpointManifest`](crate::checkpoint::CheckpointManifest) so an
+//! interrupted grid resumes instead of recomputing.
+//!
+//! The same loop stops grids gracefully: a
+//! [`CancelToken`](crate::cancel::CancelToken) (tripped by Ctrl-C or a
+//! test hook) and the per-cell deadline watchdog (`DAP_CELL_DEADLINE_MS`)
+//! are armed as [`mem_sim::ScopedStop`] flags around every cell of every
+//! figure, the simulator honors them at window granularity, and
+//! [`CellErrorKind`] keeps cancellation, deadline overruns and genuine
+//! panics distinguishable.
 //!
 //! Thread count comes from [`set_thread_override`] (the `--threads` CLI
 //! flag) when set, else `DAP_THREADS`, else all available cores.
-//!
-//! Grids stop gracefully, not only crash-tolerantly: a
-//! [`CancelToken`](crate::cancel::CancelToken) (tripped by Ctrl-C or a
-//! test hook) and a per-cell deadline watchdog (`DAP_CELL_DEADLINE_MS`)
-//! are armed as [`mem_sim::ScopedStop`] flags around every cell attempt,
-//! the simulator honors them at window granularity, and the resulting
-//! [`CellError`]s carry a [`CellErrorKind`] so cancellation, deadline
-//! overruns, and genuine panics stay distinguishable.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -41,9 +41,8 @@ use workloads::Mix;
 
 use crate::cancel::{global_cancel_token, CancelToken};
 use crate::checkpoint::{cell_key, CheckpointManifest};
+use crate::progress::windows_of;
 use crate::runner::{run_workload, AloneIpcCache, PolicyKind, WorkloadRun};
-
-type Task<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
 
 /// Locks `mutex`, recovering the guard if another thread panicked while
 /// holding it. Every value the executor guards stays consistent across a
@@ -60,15 +59,13 @@ pub fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 pub enum CellErrorKind {
     /// The cell's code panicked (a genuine bug or an injected fault).
     Panicked,
-    /// The per-cell deadline watchdog (`DAP_CELL_DEADLINE_MS`) stopped
-    /// it; retry-eligible — a transient stall clears on retry.
+    /// The per-cell deadline watchdog (`DAP_CELL_DEADLINE_MS`) stopped it.
     DeadlineExceeded,
-    /// The grid's [`CancelToken`] tripped; never retried.
+    /// The grid's [`CancelToken`] tripped.
     Cancelled,
 }
 
-/// A grid cell that failed to produce a result (through all of its
-/// permitted attempts).
+/// A grid cell that failed to produce a result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellError {
     /// The cell's index in plan/cell order.
@@ -80,8 +77,8 @@ pub struct CellError {
     /// The panic payload, when it was a string (panic messages are), or
     /// the interruption description.
     pub message: String,
-    /// How many times the cell was attempted (0 = cancelled before its
-    /// first attempt started).
+    /// 1 when the cell ran and failed, 0 when the grid was cancelled
+    /// before it started.
     pub attempts: u32,
     /// What stopped the cell.
     pub kind: CellErrorKind,
@@ -118,13 +115,8 @@ impl fmt::Display for CellError {
         } else {
             write!(
                 f,
-                "cell {} ({}) {} after {} attempt{}: {}",
-                self.index,
-                self.label,
-                what,
-                self.attempts,
-                if self.attempts == 1 { "" } else { "s" },
-                self.message
+                "cell {} ({}) {}: {}",
+                self.index, self.label, what, self.message
             )?;
         }
         if let Some(fp) = &self.fingerprint {
@@ -160,11 +152,9 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Label of a cell the next matching [`run_cells`] /
-/// [`run_variant_grid_recovered`] execution should panic in (fault
-/// drills; consumed by the first attempt of the first matching cell).
-///
-/// [`run_cells`]: ParallelExecutor::run_cells
+/// Label of a cell the next matching [`ParallelExecutor::run_cells`]
+/// execution should panic in (fault drills; consumed by the first
+/// matching cell).
 static PANIC_INJECTION: Mutex<Option<String>> = Mutex::new(None);
 
 /// Arms a one-shot panic in the next cell whose label equals `label`
@@ -190,16 +180,18 @@ fn fire_injected_panic(label: &str) {
     }
 }
 
-/// A named, re-runnable grid cell for [`ParallelExecutor::run_cells`].
+/// A labelled grid cell for [`ParallelExecutor::run_cells`]: a closure
+/// run once, named by its label (and fingerprint, when known) in errors
+/// and matched by [`inject_cell_panic`].
 pub struct CellSpec<'a, T> {
     label: String,
     fingerprint: Option<String>,
-    run: Box<dyn Fn() -> T + Send + Sync + 'a>,
+    run: Box<dyn FnOnce() -> T + Send + 'a>,
 }
 
 impl<'a, T> CellSpec<'a, T> {
     /// A cell running `run`, identified as `label` in errors.
-    pub fn new(label: impl Into<String>, run: impl Fn() -> T + Send + Sync + 'a) -> Self {
+    pub fn new(label: impl Into<String>, run: impl FnOnce() -> T + Send + 'a) -> Self {
         Self {
             label: label.into(),
             fingerprint: None,
@@ -212,40 +204,6 @@ impl<'a, T> CellSpec<'a, T> {
     pub fn with_fingerprint(mut self, fingerprint: impl Into<String>) -> Self {
         self.fingerprint = Some(fingerprint.into());
         self
-    }
-
-    /// The cell's label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-}
-
-/// An ordered list of independent simulation units.
-#[derive(Default)]
-pub struct ExperimentPlan<'a, T> {
-    tasks: Vec<Task<'a, T>>,
-}
-
-impl<'a, T: Send> ExperimentPlan<'a, T> {
-    /// An empty plan.
-    pub fn new() -> Self {
-        Self { tasks: Vec::new() }
-    }
-
-    /// Appends a unit and returns its index in the result vector.
-    pub fn add(&mut self, task: impl FnOnce() -> T + Send + 'a) -> usize {
-        self.tasks.push(Box::new(task));
-        self.tasks.len() - 1
-    }
-
-    /// Number of units in the plan.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Whether the plan has no units.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
     }
 }
 
@@ -262,58 +220,19 @@ pub fn set_thread_override(threads: usize) {
     THREAD_OVERRIDE.store(threads, Ordering::Relaxed);
 }
 
-/// Runs work items over a fixed worker pool, depositing each result in
-/// the slot matching the item's index so output order never depends on
-/// scheduling. `run_one` must be safe to call concurrently.
-fn run_indexed<T: Send>(threads: usize, n: usize, run_one: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    if threads == 1 || n <= 1 {
-        return (0..n).map(run_one).collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = std::iter::repeat_with(|| Mutex::new(None))
-        .take(n)
-        .collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // Compute before taking the slot lock: a panicking unit
-                // (caught by the caller's closure) never holds it.
-                let result = run_one(i);
-                *lock_unpoisoned(&slots[i]) = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                // invariant: run_indexed hands every index in 0..units to
-                // exactly one worker, and workers fill their slot before
-                // returning.
-                .expect("every unit ran")
-        })
-        .collect()
-}
-
-/// One watched cell's deadline state. The stop flag is only mutated
-/// under the `started` lock (by both the worker arming the slot and the
-/// watchdog tripping it), so a trip can never leak from an expired
-/// attempt into a fresh one.
+/// One watched cell's deadline state. The stop flag is only tripped
+/// under the `started` lock, which the worker also takes to disarm the
+/// slot, so a cell that has finished can never be tripped.
 struct WatchSlot {
-    /// When the current attempt started; `None` between attempts.
+    /// When the cell started; `None` before it starts and after it ends.
     started: Mutex<Option<Instant>>,
-    /// The stop flag installed as the attempt's `ScopedStop` entry.
+    /// The stop flag installed as the cell's `ScopedStop` entry.
     stop: Arc<AtomicBool>,
 }
 
 /// A background thread enforcing the per-cell deadline: it polls every
-/// armed [`WatchSlot`] and trips the slot's stop flag once the attempt
-/// has run past the deadline. The simulation notices at its next window
+/// armed [`WatchSlot`] and trips the slot's stop flag once the cell has
+/// run past the deadline. The simulation notices at its next window
 /// boundary and unwinds with [`StopCause::DeadlineExceeded`].
 struct Watchdog {
     slots: Arc<Vec<WatchSlot>>,
@@ -359,18 +278,14 @@ impl Watchdog {
         }
     }
 
-    /// Arms cell `i`'s slot for a fresh attempt (resetting any trip left
-    /// by a previous attempt) and returns its stop flag.
+    /// Starts cell `i`'s clock and returns its stop flag.
     fn arm(&self, i: usize) -> Arc<AtomicBool> {
         let slot = &self.slots[i];
-        let mut started = lock_unpoisoned(&slot.started);
-        slot.stop.store(false, Ordering::Relaxed);
-        *started = Some(Instant::now());
-        drop(started);
+        *lock_unpoisoned(&slot.started) = Some(Instant::now());
         Arc::clone(&slot.stop)
     }
 
-    /// Disarms cell `i`'s slot after an attempt finishes.
+    /// Stops cell `i`'s clock once the cell has finished.
     fn disarm(&self, i: usize) {
         *lock_unpoisoned(&self.slots[i].started) = None;
     }
@@ -410,7 +325,7 @@ fn deadline_from_env() -> Option<Duration> {
     }
 }
 
-/// Runs an [`ExperimentPlan`] across a fixed number of worker threads.
+/// Runs grid cells across a fixed number of worker threads.
 #[derive(Debug, Clone)]
 pub struct ParallelExecutor {
     threads: usize,
@@ -463,10 +378,8 @@ impl ParallelExecutor {
         self
     }
 
-    /// Attaches a per-cell deadline: an attempt running longer is
-    /// stopped by the watchdog and reported as
-    /// [`CellErrorKind::DeadlineExceeded`] (retry-eligible in
-    /// [`Self::run_cells`]).
+    /// Attaches a per-cell deadline: a cell running longer is stopped by
+    /// the watchdog and reported as [`CellErrorKind::DeadlineExceeded`].
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
@@ -478,177 +391,207 @@ impl ParallelExecutor {
         self.threads
     }
 
-    /// Runs every unit and returns the results in plan order.
-    ///
-    /// Workers claim units from a shared atomic cursor (dynamic load
-    /// balancing: units vary widely in cost). A panicking unit does not
-    /// abort the grid — every other unit still runs and this method
-    /// panics with the first [`CellError`] only after the grid drains
-    /// (use [`Self::try_run`] to receive the errors instead).
-    pub fn run<'a, T: Send>(&self, plan: ExperimentPlan<'a, T>) -> Vec<T> {
-        self.try_run(plan)
+    /// Runs every cell and returns the values in cell order. A failing
+    /// cell does not abort the grid: every other cell still runs, and this
+    /// method panics with the first [`CellError`] only after the grid
+    /// drains.
+    pub fn run<'a, T: Send>(&self, cells: Vec<CellSpec<'a, T>>) -> Vec<T> {
+        self.run_cells(cells)
             .into_iter()
             .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
             .collect()
     }
 
-    /// Runs every unit, isolating panics: each cell's slot holds either
-    /// its result or the [`CellError`] describing its panic. Sibling
-    /// cells and shared state (the alone-IPC cache) are unaffected by a
-    /// crashing cell.
-    pub fn try_run<'a, T: Send>(&self, plan: ExperimentPlan<'a, T>) -> Vec<Result<T, CellError>> {
-        let queue: Vec<Mutex<Option<Task<'a, T>>>> = plan
-            .tasks
-            .into_iter()
-            .map(|task| Mutex::new(Some(task)))
-            .collect();
-        let cancel = self.cancel.as_ref();
-        run_indexed(self.threads, queue.len(), |i| {
-            if let Some(token) = cancel {
-                if token.is_cancelled() {
-                    return Err(CellError::cancelled_before_start(
-                        i,
-                        format!("unit {i}"),
-                        None,
-                    ));
-                }
-            }
-            let task = lock_unpoisoned(&queue[i])
+    /// Runs every cell and returns, in cell order, each cell's value or
+    /// the [`CellError`] that stopped it.
+    ///
+    /// Workers claim cells from a shared atomic cursor (dynamic load
+    /// balancing: cells vary widely in cost); with one thread, or one
+    /// cell, the cells run inline on the caller's thread. Once the cancel
+    /// token trips, cells whose turn comes after it are not started.
+    pub fn run_cells<'a, T: Send>(&self, cells: Vec<CellSpec<'a, T>>) -> Vec<Result<T, CellError>> {
+        let n = cells.len();
+        let queue: Vec<Mutex<Option<CellSpec<'a, T>>>> =
+            cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
+        let watchdog = self.deadline.map(|d| Watchdog::new(n, d));
+        let run_one = |i: usize| {
+            let cell = lock_unpoisoned(&queue[i])
                 .take()
-                // invariant: run_indexed dispatches each index once, so
-                // no other worker can have taken this task.
-                .expect("unit claimed once");
-            let stop_flags: Vec<_> = cancel
-                .map(|token| vec![(token.flag(), StopCause::Cancelled)])
-                .unwrap_or_default();
-            let _armed = ScopedStop::install(&stop_flags);
-            catch_unwind(AssertUnwindSafe(task)).map_err(|payload| CellError {
-                index: i,
-                label: format!("unit {i}"),
-                fingerprint: None,
+                // invariant: every index is claimed by exactly one worker.
+                .expect("cell claimed once");
+            self.run_cell(i, cell, watchdog.as_ref())
+        };
+        if self.threads == 1 || n <= 1 {
+            return (0..n).map(run_one).collect();
+        }
+        let slots: Vec<Mutex<Option<Result<T, CellError>>>> =
+            std::iter::repeat_with(|| Mutex::new(None))
+                .take(n)
+                .collect();
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..self.threads.min(n) {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let result = run_one(i);
+                    *lock_unpoisoned(&slots[i]) = Some(result);
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .map(|s| {
+                s.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    // invariant: the workers drain every index in 0..n and
+                    // fill its slot before moving on.
+                    .expect("every cell ran")
+            })
+            .collect()
+    }
+
+    /// Runs one cell under `catch_unwind` with the cancel token, its
+    /// deadline and any [`inject_cell_panic`] armed; never unwinds.
+    fn run_cell<T>(
+        &self,
+        index: usize,
+        cell: CellSpec<'_, T>,
+        watchdog: Option<&Watchdog>,
+    ) -> Result<T, CellError> {
+        let CellSpec {
+            label,
+            fingerprint,
+            run,
+        } = cell;
+        let cancel = self.cancel.as_ref();
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            return Err(CellError::cancelled_before_start(index, label, fingerprint));
+        }
+        let mut stop_flags = Vec::new();
+        if let Some(token) = cancel {
+            stop_flags.push((token.flag(), StopCause::Cancelled));
+        }
+        if let Some(dog) = watchdog {
+            stop_flags.push((dog.arm(index), StopCause::DeadlineExceeded));
+        }
+        let armed = ScopedStop::install(&stop_flags);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            fire_injected_panic(&label);
+            run()
+        }));
+        drop(armed);
+        if let Some(dog) = watchdog {
+            dog.disarm(index);
+        }
+        match outcome {
+            Ok(value) => {
+                if let Some(token) = cancel {
+                    token.note_completed();
+                }
+                Ok(value)
+            }
+            Err(payload) => Err(CellError {
+                index,
+                label,
+                fingerprint,
                 kind: classify(payload.as_ref()),
                 message: panic_message(payload),
                 attempts: 1,
-            })
-        })
-    }
-
-    /// Runs named, re-runnable cells with bounded retry: a cell that
-    /// panics or exceeds its deadline is re-attempted up to `retries`
-    /// more times (transient faults — e.g. an injected fault drill or a
-    /// machine stall — clear on retry; a deterministic failure exhausts
-    /// every attempt) and reports a [`CellError`] carrying its label,
-    /// fingerprint, attempt count, and [`CellErrorKind`] if no attempt
-    /// succeeded. A tripped cancel token is never retried, and cells
-    /// whose turn comes after the trip are not started.
-    pub fn run_cells<'a, T: Send>(
-        &self,
-        cells: Vec<CellSpec<'a, T>>,
-        retries: u32,
-    ) -> Vec<Result<T, CellError>> {
-        let cells = &cells;
-        let watchdog = self.deadline.map(|d| Watchdog::new(cells.len(), d));
-        let watchdog = watchdog.as_ref();
-        let cancel = self.cancel.as_ref();
-        run_indexed(self.threads, cells.len(), move |i| {
-            let cell = &cells[i];
-            if let Some(token) = cancel {
-                if token.is_cancelled() {
-                    return Err(CellError::cancelled_before_start(
-                        i,
-                        cell.label.clone(),
-                        cell.fingerprint.clone(),
-                    ));
-                }
-            }
-            let attempts = retries.saturating_add(1);
-            let mut message = String::new();
-            let mut kind = CellErrorKind::Panicked;
-            let mut attempted = 0;
-            for _ in 0..attempts {
-                attempted += 1;
-                let mut stop_flags = Vec::new();
-                if let Some(token) = cancel {
-                    stop_flags.push((token.flag(), StopCause::Cancelled));
-                }
-                if let Some(dog) = watchdog {
-                    stop_flags.push((dog.arm(i), StopCause::DeadlineExceeded));
-                }
-                let armed = ScopedStop::install(&stop_flags);
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    fire_injected_panic(&cell.label);
-                    (cell.run)()
-                }));
-                drop(armed);
-                if let Some(dog) = watchdog {
-                    dog.disarm(i);
-                }
-                match outcome {
-                    Ok(value) => {
-                        if let Some(token) = cancel {
-                            token.note_completed();
-                        }
-                        return Ok(value);
-                    }
-                    Err(payload) => {
-                        kind = classify(payload.as_ref());
-                        message = panic_message(payload);
-                        if kind == CellErrorKind::Cancelled {
-                            break;
-                        }
-                    }
-                }
-            }
-            Err(CellError {
-                index: i,
-                label: cell.label.clone(),
-                fingerprint: cell.fingerprint.clone(),
-                message,
-                attempts: attempted,
-                kind,
-            })
-        })
+            }),
+        }
     }
 }
 
-/// Runs `variants.len()` workload units per mix in parallel and returns,
-/// per mix, the runs in variant order — the shape almost every figure
-/// needs (N policy/architecture variants over a list of mixes).
+/// How [`run_grid`] fills one cell of a mixes × variants grid.
+pub(crate) enum GridCell<'a, T> {
+    /// Already known (a checkpoint hit): nothing is simulated.
+    Done(T),
+    /// Simulated on the executor.
+    Run(CellSpec<'a, T>),
+}
+
+/// The label of a variant grid's `(mix, policy)` cell, e.g. `"mcf/Dap"`:
+/// what its errors name and what [`inject_cell_panic`] matches.
+pub(crate) fn cell_label(mix: &Mix, kind: PolicyKind) -> String {
+    format!("{}/{kind:?}", mix.name)
+}
+
+/// The one mixes × variants layout behind every variant grid: asks `cell`
+/// for each `(mix, variant index)` in mix-major order, runs the cells to
+/// simulate on `executor` with live progress (`windows` reads a finished
+/// cell's simulated windows), and returns per-mix rows in variant order.
+pub(crate) fn run_grid<'a, T: Send>(
+    executor: &ParallelExecutor,
+    mixes: &'a [Mix],
+    variants: usize,
+    windows: fn(&T) -> u64,
+    mut cell: impl FnMut(&'a Mix, usize) -> GridCell<'a, T>,
+) -> Vec<Vec<Result<T, CellError>>> {
+    let mut done = Vec::with_capacity(mixes.len() * variants);
+    let mut cells = Vec::new();
+    for mix in mixes {
+        for v in 0..variants {
+            match cell(mix, v) {
+                GridCell::Done(value) => done.push(Some(Ok(value))),
+                GridCell::Run(CellSpec {
+                    label,
+                    fingerprint,
+                    run,
+                }) => {
+                    done.push(None);
+                    cells.push(CellSpec {
+                        label,
+                        fingerprint,
+                        run: Box::new(move || {
+                            let value = run();
+                            crate::progress::cell_finished(windows(&value));
+                            value
+                        }),
+                    });
+                }
+            }
+        }
+    }
+    let _progress = crate::progress::grid_started(cells.len());
+    let mut ran = executor.run_cells(cells).into_iter();
+    let mut slots = done.into_iter().map(|slot| {
+        // invariant: run_cells returns one result per cell, in cell order.
+        slot.unwrap_or_else(|| ran.next().expect("one result per cell"))
+    });
+    mixes
+        .iter()
+        .map(|_| slots.by_ref().take(variants).collect())
+        .collect()
+}
+
+/// Runs `variants.len()` workload cells per mix on the environment's
+/// executor and returns, per mix, the runs in variant order — the shape
+/// almost every figure needs (N policy/architecture variants over a list
+/// of mixes). Panics with the first failed cell after the grid drains.
 pub fn run_variant_grid(
     variants: &[(&SystemConfig, PolicyKind)],
     mixes: &[Mix],
     instructions: u64,
     alone: &AloneIpcCache,
 ) -> Vec<Vec<WorkloadRun>> {
-    let _progress = crate::progress::grid_started(mixes.len() * variants.len());
-    let mut plan = ExperimentPlan::new();
-    for mix in mixes {
-        for &(config, kind) in variants {
-            plan.add(move || {
-                let run = run_workload(config, kind, mix, instructions, alone);
-                crate::progress::cell_finished(crate::progress::windows_of(&run));
-                run
-            });
-        }
-    }
-    let mut runs = ParallelExecutor::from_env().run(plan).into_iter();
-    mixes
-        .iter()
-        // invariant: run() returns exactly one result per added task, and
-        // the plan added mixes.len() * variants.len() tasks above.
-        .map(|_| (0..variants.len()).map(|_| runs.next().unwrap()).collect())
-        .collect()
+    let executor = ParallelExecutor::from_env();
+    run_variant_grid_recovered(variants, mixes, instructions, alone, None, &executor)
+        .into_result()
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The outcome of a crash-tolerant grid: per-mix rows of per-variant
-/// cells (`None` where the cell kept panicking), the errors themselves,
+/// cells (`None` where the cell failed), the errors themselves,
 /// and how many cells were answered from the checkpoint without
 /// simulating.
 #[derive(Debug)]
 pub struct RecoveredGrid {
     /// `runs[mix][variant]`; `None` exactly where `errors` has an entry.
     pub runs: Vec<Vec<Option<WorkloadRun>>>,
-    /// Every cell that panicked through all its attempts, in cell order.
+    /// Every cell that failed, in cell order.
     pub errors: Vec<CellError>,
     /// Cells restored from the checkpoint manifest instead of simulated.
     pub resumed: usize,
@@ -708,7 +651,7 @@ pub enum ExecError {
         /// Total cells in the grid.
         total: usize,
     },
-    /// One or more cells failed through all their permitted attempts.
+    /// One or more cells failed.
     Failed(Vec<CellError>),
 }
 
@@ -734,47 +677,21 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// The crash-tolerant sibling of [`run_variant_grid`]: every cell runs
-/// under `catch_unwind` with `retries` extra attempts, finished cells are
-/// recorded into `checkpoint` (when given) so an interrupted grid resumes
-/// instead of recomputing — keyed by
-/// [`cell_key`](crate::checkpoint::cell_key), which covers the full
-/// system configuration (fault schedule included), policy, mix, and
-/// instruction budget — and cells that keep panicking surface as
-/// [`CellError`]s instead of aborting the grid.
+/// The crash-tolerant sibling of [`run_variant_grid`] on an explicit
+/// `executor`: cells that fail surface as [`CellError`]s instead of
+/// aborting the grid, and finished cells are recorded into `checkpoint`
+/// (when given) so an interrupted grid resumes instead of recomputing —
+/// keyed by [`cell_key`](crate::checkpoint::cell_key), which covers the
+/// full system configuration (fault schedule included), policy, mix, and
+/// instruction budget.
 pub fn run_variant_grid_recovered(
     variants: &[(&SystemConfig, PolicyKind)],
     mixes: &[Mix],
     instructions: u64,
     alone: &AloneIpcCache,
     checkpoint: Option<&CheckpointManifest>,
-    retries: u32,
-) -> RecoveredGrid {
-    run_variant_grid_recovered_with(
-        variants,
-        mixes,
-        instructions,
-        alone,
-        checkpoint,
-        retries,
-        &ParallelExecutor::from_env(),
-    )
-}
-
-/// [`run_variant_grid_recovered`] with an explicit executor, so callers
-/// (and the cancellation tests) control the thread count, cancel token,
-/// and per-cell deadline instead of inheriting the environment's.
-#[allow(clippy::too_many_arguments)]
-pub fn run_variant_grid_recovered_with(
-    variants: &[(&SystemConfig, PolicyKind)],
-    mixes: &[Mix],
-    instructions: u64,
-    alone: &AloneIpcCache,
-    checkpoint: Option<&CheckpointManifest>,
-    retries: u32,
     executor: &ParallelExecutor,
 ) -> RecoveredGrid {
-    let total = mixes.len() * variants.len();
     if let Some(manifest) = checkpoint {
         let parse_errors = manifest.parse_errors();
         if parse_errors > 0 {
@@ -792,59 +709,35 @@ pub fn run_variant_grid_recovered_with(
             );
         }
     }
-    let mut slots: Vec<Option<Result<WorkloadRun, CellError>>> = (0..total).map(|_| None).collect();
     let mut resumed = 0;
-    let mut cells = Vec::new();
-    let mut cell_slot = Vec::new();
-    for (m, mix) in mixes.iter().enumerate() {
-        for (v, &(config, kind)) in variants.iter().enumerate() {
-            let slot = m * variants.len() + v;
-            let key = cell_key(config, kind, mix, instructions);
-            if let Some(manifest) = checkpoint {
-                if let Some(run) = manifest.lookup(&key) {
-                    slots[slot] = Some(Ok(run));
-                    resumed += 1;
-                    continue;
-                }
-            }
-            let record_key = key.clone();
-            cells.push(
-                CellSpec::new(format!("{}/{kind:?}", mix.name), move || {
-                    let run = run_workload(config, kind, mix, instructions, alone);
-                    if let Some(manifest) = checkpoint {
-                        manifest.record(&record_key, &run);
-                    }
-                    crate::progress::cell_finished(crate::progress::windows_of(&run));
-                    run
-                })
-                .with_fingerprint(key),
-            );
-            cell_slot.push(slot);
+    let rows = run_grid(executor, mixes, variants.len(), windows_of, |mix, v| {
+        let (config, kind) = variants[v];
+        let key = cell_key(config, kind, mix, instructions);
+        if let Some(run) = checkpoint.and_then(|manifest| manifest.lookup(&key)) {
+            resumed += 1;
+            return GridCell::Done(run);
         }
-    }
-    let _progress = crate::progress::grid_started(cells.len());
-    let results = executor.run_cells(cells, retries);
-    for (slot, result) in cell_slot.into_iter().zip(results) {
-        slots[slot] = Some(result);
-    }
+        let record_key = key.clone();
+        GridCell::Run(
+            CellSpec::new(cell_label(mix, kind), move || {
+                let run = run_workload(config, kind, mix, instructions, alone);
+                if let Some(manifest) = checkpoint {
+                    manifest.record(&record_key, &run);
+                }
+                run
+            })
+            .with_fingerprint(key),
+        )
+    });
     let mut errors = Vec::new();
-    let mut runs = Vec::with_capacity(mixes.len());
-    let mut it = slots.into_iter();
-    for _ in mixes {
-        let mut row = Vec::with_capacity(variants.len());
-        for _ in variants {
-            // invariant: the loop above placed a result (resumed, run, or
-            // error) into each of the mixes × variants slots.
-            match it.next().unwrap().expect("every slot filled") {
-                Ok(run) => row.push(Some(run)),
-                Err(e) => {
-                    errors.push(e);
-                    row.push(None);
-                }
-            }
-        }
-        runs.push(row);
-    }
+    let runs = rows
+        .into_iter()
+        .map(|row| {
+            row.into_iter()
+                .map(|cell| cell.map_err(|e| errors.push(e)).ok())
+                .collect()
+        })
+        .collect();
     RecoveredGrid {
         runs,
         errors,
@@ -858,42 +751,50 @@ mod tests {
 
     #[test]
     fn results_come_back_in_plan_order() {
-        let mut plan = ExperimentPlan::new();
-        for i in 0..64u64 {
-            // Uneven unit costs so threads finish out of submission order.
-            plan.add(move || {
-                let mut acc = i;
-                for _ in 0..(i % 7) * 10_000 {
-                    acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-                }
-                std::hint::black_box(acc);
-                i
-            });
-        }
-        let out = ParallelExecutor::new(4).run(plan);
+        let cells = (0..64u64)
+            .map(|i| {
+                // Uneven cell costs so threads finish out of submission order.
+                CellSpec::new(format!("uneven-{i}"), move || {
+                    let mut acc = i;
+                    for _ in 0..(i % 7) * 10_000 {
+                        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    }
+                    std::hint::black_box(acc);
+                    i
+                })
+            })
+            .collect();
+        let out = ParallelExecutor::new(4).run(cells);
         assert_eq!(out, (0..64).collect::<Vec<_>>());
     }
 
     #[test]
     fn every_unit_runs_exactly_once() {
         let counter = AtomicUsize::new(0);
-        let mut plan = ExperimentPlan::new();
-        for _ in 0..37 {
-            plan.add(|| counter.fetch_add(1, Ordering::Relaxed));
-        }
-        let out = ParallelExecutor::new(8).run(plan);
+        let cells = (0..37)
+            .map(|i| {
+                CellSpec::new(format!("count-{i}"), || {
+                    counter.fetch_add(1, Ordering::Relaxed)
+                })
+            })
+            .collect();
+        let out = ParallelExecutor::new(8).run(cells);
         assert_eq!(out.len(), 37);
         assert_eq!(counter.load(Ordering::Relaxed), 37);
     }
 
     #[test]
     fn single_thread_runs_inline() {
-        let mut plan = ExperimentPlan::new();
-        assert!(plan.is_empty());
-        plan.add(|| 41);
-        plan.add(|| 42);
-        assert_eq!(plan.len(), 2);
-        assert_eq!(ParallelExecutor::new(1).run(plan), vec![41, 42]);
+        let caller = std::thread::current().id();
+        let on_caller = move || std::thread::current().id() == caller;
+        let cells = vec![
+            CellSpec::new("first", move || (on_caller(), 41)),
+            CellSpec::new("second", move || (on_caller(), 42)),
+        ];
+        assert_eq!(
+            ParallelExecutor::new(1).run(cells),
+            vec![(true, 41), (true, 42)]
+        );
     }
 
     #[test]
@@ -913,21 +814,24 @@ mod tests {
     #[test]
     fn panicking_unit_does_not_poison_siblings() {
         for threads in [1, 4] {
-            let mut plan = ExperimentPlan::new();
-            for i in 0..16u64 {
-                plan.add(move || {
-                    assert_ne!(i, 5, "unit 5 always crashes");
-                    i * 10
-                });
-            }
-            let out = ParallelExecutor::new(threads).try_run(plan);
+            let cells = (0..16u64)
+                .map(|i| {
+                    CellSpec::new(format!("times-ten-{i}"), move || {
+                        assert_ne!(i, 5, "cell 5 always crashes");
+                        i * 10
+                    })
+                })
+                .collect();
+            let out = ParallelExecutor::new(threads).run_cells(cells);
             assert_eq!(out.len(), 16);
             for (i, r) in out.iter().enumerate() {
                 if i == 5 {
                     let e = r.as_ref().unwrap_err();
                     assert_eq!(e.index, 5);
+                    assert_eq!(e.label, "times-ten-5");
                     assert_eq!(e.attempts, 1);
-                    assert!(e.message.contains("unit 5 always crashes"), "{e}");
+                    assert_eq!(e.kind, CellErrorKind::Panicked);
+                    assert!(e.message.contains("cell 5 always crashes"), "{e}");
                 } else {
                     assert_eq!(*r.as_ref().unwrap(), i as u64 * 10, "threads={threads}");
                 }
@@ -939,51 +843,36 @@ mod tests {
     fn run_panics_with_cell_error_after_draining() {
         let completed = AtomicUsize::new(0);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut plan = ExperimentPlan::new();
-            plan.add(|| {
-                completed.fetch_add(1, Ordering::Relaxed);
-            });
-            plan.add(|| panic!("boom"));
-            plan.add(|| {
-                completed.fetch_add(1, Ordering::Relaxed);
-            });
-            ParallelExecutor::new(2).run(plan)
+            let cells = vec![
+                CellSpec::new("before", || {
+                    completed.fetch_add(1, Ordering::Relaxed);
+                }),
+                CellSpec::new("boom", || panic!("boom")),
+                CellSpec::new("after", || {
+                    completed.fetch_add(1, Ordering::Relaxed);
+                }),
+            ];
+            ParallelExecutor::new(2).run(cells)
         }));
         let message = panic_message(outcome.unwrap_err());
         assert!(message.contains("boom"), "{message}");
         assert_eq!(
             completed.load(Ordering::Relaxed),
             2,
-            "healthy units finish before the error propagates"
+            "healthy cells finish before the error propagates"
         );
     }
 
     #[test]
-    fn retries_recover_transient_panics() {
-        let failures_left = Mutex::new(2u32);
-        let cells = vec![CellSpec::new("flaky", || {
-            let mut left = lock_unpoisoned(&failures_left);
-            if *left > 0 {
-                *left -= 1;
-                drop(left);
-                panic!("transient");
-            }
-            7u32
-        })];
-        let out = ParallelExecutor::new(1).run_cells(cells, 2);
-        assert_eq!(out[0].as_ref().unwrap(), &7);
-    }
-
-    #[test]
-    fn exhausted_retries_report_attempt_count() {
+    fn failed_cell_reports_label_and_fingerprint() {
         let cells = vec![
             CellSpec::new("ok", || 1u32),
             CellSpec::new("doomed", || panic!("always")).with_fingerprint("cfg-beef"),
         ];
-        let out = ParallelExecutor::new(2).run_cells(cells, 1);
+        let out = ParallelExecutor::new(2).run_cells(cells);
         assert_eq!(out[0].as_ref().unwrap(), &1);
         let e = out[1].as_ref().unwrap_err();
-        assert_eq!(e.attempts, 2);
+        assert_eq!(e.attempts, 1);
         assert_eq!(e.label, "doomed");
         assert_eq!(e.fingerprint.as_deref(), Some("cfg-beef"));
         assert!(e.to_string().contains("cfg-beef"), "{e}");
@@ -997,13 +886,13 @@ mod tests {
             CellSpec::new("other", || 0u32),
             CellSpec::new("target", || 1u32),
         ];
-        let out = ParallelExecutor::new(1).run_cells(cells, 0);
+        let out = ParallelExecutor::new(1).run_cells(cells);
         assert_eq!(out[0].as_ref().unwrap(), &0, "non-matching cell untouched");
         let e = out[1].as_ref().unwrap_err();
         assert!(e.message.contains("injected panic"), "{e}");
         // The injection is consumed: re-running the same cells succeeds.
         let cells = vec![CellSpec::new("target", || 1u32)];
-        let out = ParallelExecutor::new(1).run_cells(cells, 0);
+        let out = ParallelExecutor::new(1).run_cells(cells);
         assert_eq!(out[0].as_ref().unwrap(), &1);
     }
 }

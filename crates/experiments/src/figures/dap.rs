@@ -2,7 +2,7 @@
 
 use mem_sim::{RunResult, SystemConfig};
 
-use crate::exec::{run_variant_grid, ExperimentPlan, ParallelExecutor};
+use crate::exec::{cell_label, run_variant_grid, CellSpec, ParallelExecutor};
 use crate::metrics::{geomean, FigureResult, Row};
 use crate::runner::{build_policy_with, run_mix, AloneIpcCache, PolicyKind};
 
@@ -50,14 +50,16 @@ pub fn fig06_dap_sectored(instructions: u64) -> FigureResult {
 pub fn fig07_decision_mix(instructions: u64) -> FigureResult {
     let config = SystemConfig::sectored_dram_cache(8);
     let mixes = sensitive_mixes(8);
-    let mut plan = ExperimentPlan::new();
-    {
-        let config = &config;
-        for mix in &mixes {
-            plan.add(move || run_mix(config, PolicyKind::Dap, mix, instructions));
-        }
-    }
-    let results = ParallelExecutor::from_env().run(plan);
+    let cells = mixes
+        .iter()
+        .map(|mix| {
+            let config = &config;
+            CellSpec::new(cell_label(mix, PolicyKind::Dap), move || {
+                run_mix(config, PolicyKind::Dap, mix, instructions)
+            })
+        })
+        .collect();
+    let results = ParallelExecutor::from_env().run(cells);
     let mut rows = Vec::new();
     let mut totals = [0.0f64; 4];
     let mut counted = 0usize;
@@ -149,15 +151,22 @@ pub fn table1_w_e_sensitivity(instructions: u64) -> FigureResult {
     const PARAMS: [(u32, f64); 5] = [(32, 0.75), (64, 0.75), (128, 0.75), (64, 0.50), (64, 1.00)];
     let config = SystemConfig::sectored_dram_cache(8);
     let mixes = sensitive_mixes(8);
-    let mut plan = ExperimentPlan::new();
+    let mut cells = Vec::new();
     {
         let config = &config;
         for mix in &mixes {
-            plan.add(move || unit_ws(&run_mix(config, PolicyKind::Baseline, mix, instructions)));
+            cells.push(CellSpec::new(
+                cell_label(mix, PolicyKind::Baseline),
+                move || unit_ws(&run_mix(config, PolicyKind::Baseline, mix, instructions)),
+            ));
         }
         for &(window, efficiency) in &PARAMS {
             for mix in &mixes {
-                plan.add(move || {
+                let label = format!(
+                    "{} W={window} E={efficiency:.2}",
+                    cell_label(mix, PolicyKind::Dap)
+                );
+                cells.push(CellSpec::new(label, move || {
                     // invariant: the sectored DRAM-cache config always
                     // carries the bandwidth fields DAP solves against.
                     let policy = build_policy_with(PolicyKind::Dap, config, window, efficiency)
@@ -165,11 +174,11 @@ pub fn table1_w_e_sensitivity(instructions: u64) -> FigureResult {
                     let mut system =
                         mem_sim::System::with_policy(config.clone(), mix.traces(), policy);
                     unit_ws(&system.run(instructions))
-                });
+                }));
             }
         }
     }
-    let ws = ParallelExecutor::from_env().run(plan);
+    let ws = ParallelExecutor::from_env().run(cells);
     let (base, sweeps) = ws.split_at(mixes.len());
     let rows = PARAMS
         .iter()

@@ -4,7 +4,7 @@
 use mem_sim::{FaultSchedule, FaultTarget, SystemConfig, BLOCK_BYTES};
 
 use crate::checkpoint::CheckpointManifest;
-use crate::exec::run_variant_grid_recovered;
+use crate::exec::{run_variant_grid_recovered, ParallelExecutor};
 use crate::metrics::{FigureResult, Row};
 use crate::runner::{AloneIpcCache, PolicyKind, WorkloadRun};
 
@@ -58,7 +58,8 @@ fn scenarios(start: u64) -> Vec<(&'static str, Option<FaultSchedule>)> {
 /// the bandwidth-sensitive mixes) for no partitioning, static-Eq.4 DAP,
 /// and measured-bandwidth DAP, per fault scenario — plus the ratio of
 /// measured over static DAP and the number of measured-bandwidth budget
-/// re-solves. Honors `DAP_RESUME` for checkpoint/resume.
+/// re-solves. Honors `DAP_RESUME` for checkpoint/resume; an interrupted
+/// run returns the scenarios finished so far, and a failed cell panics.
 pub fn fig_fault_degradation(instructions: u64) -> FigureResult {
     let manifest = match CheckpointManifest::from_env() {
         Some(Ok(m)) => Some(m),
@@ -87,9 +88,15 @@ pub fn fig_fault_degradation(instructions: u64) -> FigureResult {
             instructions,
             &alone,
             manifest.as_ref(),
-            0,
+            &ParallelExecutor::from_env(),
         );
         let cancelled = grid.cancelled();
+        if !cancelled && !grid.is_complete() {
+            // A failed cell fails the figure, as it does every other
+            // figure, instead of averaging over the mixes that are left.
+            // The cells that finished are already in the manifest.
+            panic!("{}", grid.into_result().unwrap_err());
+        }
         for error in &grid.errors {
             // A cancelled grid is expected to be incomplete; only genuine
             // failures deserve per-cell warnings.

@@ -4,7 +4,7 @@ use dap_core::{read_kernel_bandwidth, BandwidthSource};
 use mem_sim::{CacheKind, System, SystemConfig};
 use workloads::{all_specs, rate_mix, Mix, ReadKernel};
 
-use crate::exec::{run_variant_grid, ExperimentPlan, ParallelExecutor};
+use crate::exec::{run_variant_grid, CellSpec, ParallelExecutor};
 use crate::metrics::{FigureResult, Row};
 use crate::runner::{AloneIpcCache, PolicyKind};
 
@@ -44,30 +44,31 @@ pub fn fig01_bw_vs_hitrate(instructions: u64) -> FigureResult {
     let ddr = BandwidthSource::from_gbps("DDR4", 38.4);
     let gbps = |acc_per_s: f64| acc_per_s * 64.0 / 1e9;
 
-    let mut plan = ExperimentPlan::new();
+    let mut cells = Vec::new();
     for &hit in &HITS {
+        let pct = (hit * 100.0) as u32;
         // Warm regions sized so eight copies fit their cache with headroom
         // (the paper's kernel assumes the warm set is always resident) while
         // still exceeding each core's shared-L3 slice. The eDRAM kernel uses
         // a larger-capacity part: Fig. 1 studies bandwidth, not capacity.
-        plan.add(move || {
+        cells.push(CellSpec::new(format!("hit{pct}/dram-cache"), move || {
             read_kernel_gbps(
                 SystemConfig::sectored_dram_cache(8),
                 3 << 20,
                 hit,
                 instructions,
             )
-        });
-        plan.add(move || {
+        }));
+        cells.push(CellSpec::new(format!("hit{pct}/edram-cache"), move || {
             read_kernel_gbps(
                 SystemConfig::edram_cache(8, 2048),
                 1 << 20,
                 hit,
                 instructions,
             )
-        });
+        }));
     }
-    let sims = ParallelExecutor::from_env().run(plan);
+    let sims = ParallelExecutor::from_env().run(cells);
 
     let rows = HITS
         .iter()

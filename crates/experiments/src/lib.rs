@@ -3,14 +3,16 @@
 //! One function per figure/table of the paper's evaluation (Sections II,
 //! V, VI). Each returns a [`FigureResult`]: named rows of named columns
 //! plus summary statistics, with a `Display` implementation that prints
-//! the same series the paper plots. The `dap-bench` crate exposes one
-//! binary per experiment.
+//! the same series the paper plots. `dapctl fig <id>` (in the
+//! `dap-bench` crate) runs each one by id.
 //!
 //! All experiments take an `instructions` budget per core; larger budgets
 //! reduce warmup bias. Each figure's grid of independent simulations runs
-//! on the [`exec::ParallelExecutor`] (`DAP_THREADS` workers), and results
-//! are bit-identical at any thread count — the deterministic workloads
-//! and index-ordered result slots make every run reproducible.
+//! through one loop, [`exec::ParallelExecutor::run_cells`] (`DAP_THREADS`
+//! workers, with Ctrl-C cancellation and the `DAP_CELL_DEADLINE_MS`
+//! per-cell deadline armed around every cell), and results are
+//! bit-identical at any thread count — the deterministic workloads and
+//! index-ordered result slots make every run reproducible.
 //!
 //! ```no_run
 //! use experiments::figures;
@@ -39,8 +41,8 @@ pub use cancel::{global_cancel_token, CancelToken, EXIT_INTERRUPTED};
 pub use checkpoint::{cell_key, CheckpointManifest, RESUME_ENV};
 pub use exec::{
     clear_cell_panic, inject_cell_panic, lock_unpoisoned, run_variant_grid,
-    run_variant_grid_recovered, run_variant_grid_recovered_with, CellError, CellErrorKind,
-    CellSpec, ExecError, ExperimentPlan, ParallelExecutor, RecoveredGrid,
+    run_variant_grid_recovered, CellError, CellErrorKind, CellSpec, ExecError, ParallelExecutor,
+    RecoveredGrid,
 };
 pub use fingerprint::ConfigFingerprint;
 pub use metrics::{geomean, FigureResult, Row};

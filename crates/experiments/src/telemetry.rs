@@ -1,8 +1,8 @@
 //! Traced experiment execution: window-trace recording and metrics
 //! aggregation over the parallel grid, plus run-artifact export.
 //!
-//! Each `(variant, mix)` unit gets its **own** [`WindowTraceRecorder`] —
-//! traces are per-run data, and giving each unit a private recorder keeps
+//! Each `(variant, mix)` cell gets its **own** [`WindowTraceRecorder`] —
+//! traces are per-run data, and giving each cell a private recorder keeps
 //! the parallel grid deterministic (no cross-thread interleaving can
 //! reach a trace). Each *variant* shares one [`MetricsRegistry`] across
 //! all its mixes and worker threads; that is safe because counter and
@@ -25,7 +25,8 @@ use dap_telemetry::window::{WindowTrace, WindowTraceRecorder};
 use mem_sim::{CacheKind, SubsystemTelemetry, System, SystemConfig};
 use workloads::Mix;
 
-use crate::exec::{ExperimentPlan, ParallelExecutor};
+use crate::exec::{cell_label, run_grid, CellSpec, GridCell, ParallelExecutor};
+use crate::progress::windows_of;
 use crate::runner::{build_policy, AloneIpcCache, PolicyKind, WorkloadRun};
 
 /// Ring capacity for per-run recorders: enough for every window of the
@@ -113,10 +114,10 @@ pub struct VariantTelemetry {
     pub profiles: Vec<(String, Vec<dap_core::ProfileWindow>)>,
 }
 
-/// Runs `variants.len()` traced units per mix in parallel: the traced
+/// Runs `variants.len()` traced cells per mix in parallel: the traced
 /// analogue of [`crate::exec::run_variant_grid`]. One metrics registry is
 /// attached per *variant* (shared across that variant's mixes and worker
-/// threads); each unit still gets its own window-trace recorder. Returns
+/// threads); each cell still gets its own window-trace recorder. Returns
 /// per-mix runs in variant order plus per-variant telemetry.
 pub fn run_variant_grid_traced(
     variants: &[(&SystemConfig, PolicyKind, &str)],
@@ -124,21 +125,27 @@ pub fn run_variant_grid_traced(
     instructions: u64,
     alone: &AloneIpcCache,
 ) -> (Vec<Vec<WorkloadRun>>, Vec<VariantTelemetry>) {
-    let _progress = crate::progress::grid_started(mixes.len() * variants.len());
     let registries: Vec<MetricsRegistry> =
         variants.iter().map(|_| MetricsRegistry::new()).collect();
-    let mut plan = ExperimentPlan::new();
-    for mix in mixes {
-        for (v, &(config, kind, _)) in variants.iter().enumerate() {
+    let rows = run_grid(
+        &ParallelExecutor::from_env(),
+        mixes,
+        variants.len(),
+        |traced: &TracedRun| windows_of(&traced.run),
+        |mix, v| {
+            let (config, kind, _) = variants[v];
             let registry = &registries[v];
-            plan.add(move || {
-                let traced = run_workload_traced(config, kind, mix, instructions, alone, registry);
-                crate::progress::cell_finished(crate::progress::windows_of(&traced.run));
-                traced
-            });
-        }
-    }
-    let mut traced = ParallelExecutor::from_env().run(plan).into_iter();
+            GridCell::Run(CellSpec::new(cell_label(mix, kind), move || {
+                run_workload_traced(config, kind, mix, instructions, alone, registry)
+            }))
+        },
+    );
+    // Cells come back in cell order, so this panics with the grid's first
+    // failed cell.
+    let mut traced = rows
+        .into_iter()
+        .flatten()
+        .map(|cell| cell.unwrap_or_else(|e| panic!("{e}")));
     let mut per_mix: Vec<Vec<WorkloadRun>> = Vec::with_capacity(mixes.len());
     let mut traces: Vec<Vec<(String, WindowTrace)>> = variants.iter().map(|_| Vec::new()).collect();
     let mut profiles: Vec<Vec<(String, Vec<dap_core::ProfileWindow>)>> =
@@ -146,9 +153,9 @@ pub fn run_variant_grid_traced(
     for mix in mixes {
         let mut row = Vec::with_capacity(variants.len());
         for (variant_traces, variant_profiles) in traces.iter_mut().zip(profiles.iter_mut()) {
-            // invariant: run() returns one result per added task; the
-            // plan added mixes × variants tasks in this same order.
-            let t = traced.next().expect("one result per unit");
+            // invariant: run_grid returns one result per cell; the grid
+            // has mixes × variants cells in this same order.
+            let t = traced.next().expect("one result per cell");
             variant_traces.push((mix.name.clone(), t.trace));
             variant_profiles.push((mix.name.clone(), t.profile));
             row.push(t.run);

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use experiments::checkpoint::CheckpointManifest;
 use experiments::exec::{
-    run_variant_grid_recovered_with, CellErrorKind, CellSpec, ExecError, ParallelExecutor,
+    run_variant_grid_recovered, CellErrorKind, CellSpec, ExecError, ParallelExecutor,
 };
 use experiments::runner::{run_workload, AloneIpcCache, PolicyKind, WorkloadRun};
 use experiments::CancelToken;
@@ -45,13 +45,12 @@ fn cancelled_grid_resumes_bit_identically() {
     let total = mixes.len() * variants.len();
 
     // The reference: the same grid, never interrupted.
-    let unbroken = run_variant_grid_recovered_with(
+    let unbroken = run_variant_grid_recovered(
         &variants,
         &mixes,
         INSTR,
         &AloneIpcCache::new(),
         None,
-        0,
         &ParallelExecutor::new(1),
     );
     assert!(unbroken.is_complete(), "{:?}", unbroken.errors);
@@ -61,13 +60,12 @@ fn cancelled_grid_resumes_bit_identically() {
     let manifest = CheckpointManifest::in_memory();
     let token = CancelToken::new();
     token.cancel_after(2);
-    let first = run_variant_grid_recovered_with(
+    let first = run_variant_grid_recovered(
         &variants,
         &mixes,
         INSTR,
         &AloneIpcCache::new(),
         Some(&manifest),
-        0,
         &ParallelExecutor::new(1).with_cancel(token.clone()),
     );
     assert!(token.is_cancelled());
@@ -88,13 +86,12 @@ fn cancelled_grid_resumes_bit_identically() {
     }
 
     // Second pass over the same manifest: only the remaining cells run.
-    let resumed = run_variant_grid_recovered_with(
+    let resumed = run_variant_grid_recovered(
         &variants,
         &mixes,
         INSTR,
         &AloneIpcCache::new(),
         Some(&manifest),
-        0,
         &ParallelExecutor::new(1),
     );
     assert!(resumed.is_complete(), "{:?}", resumed.errors);
@@ -137,7 +134,7 @@ fn deadline_exceeded_cell_does_not_abort_siblings() {
         }),
     ];
     let executor = ParallelExecutor::new(2).with_deadline(Duration::from_millis(1_500));
-    let results = executor.run_cells(cells, 0);
+    let results = executor.run_cells(cells);
 
     assert_eq!(results.len(), 3);
     let error = results[0].as_ref().expect_err("the runaway cell must fail");
@@ -162,13 +159,12 @@ fn cancel_before_start_runs_nothing() {
     let manifest = CheckpointManifest::in_memory();
     let token = CancelToken::new();
     token.cancel_after(0);
-    let grid = run_variant_grid_recovered_with(
+    let grid = run_variant_grid_recovered(
         &variants,
         &mixes,
         INSTR,
         &AloneIpcCache::new(),
         Some(&manifest),
-        0,
         &ParallelExecutor::new(1).with_cancel(token),
     );
     assert!(grid.cancelled());

@@ -1,4 +1,4 @@
-//! Serial-vs-parallel determinism: the same experiment plan must produce
+//! Serial-vs-parallel determinism: the same experiment cells must produce
 //! bit-identical results on one thread and on many.
 //!
 //! This is the executor's core contract — `run_experiments.sh` may run
@@ -6,7 +6,7 @@
 //! not change.
 
 use dap_core::DecisionStats;
-use experiments::exec::{ExperimentPlan, ParallelExecutor};
+use experiments::exec::{CellSpec, ParallelExecutor};
 use experiments::runner::{run_workload, AloneIpcCache, PolicyKind};
 use mem_sim::{CoreResult, SimStats, SystemConfig};
 use workloads::{bandwidth_sensitive, rate_mix};
@@ -25,18 +25,20 @@ fn run_grid(threads: usize) -> Vec<Outcome> {
         .take(3)
         .map(|s| rate_mix(s, 2))
         .collect();
-    let mut plan = ExperimentPlan::new();
+    let mut cells = Vec::new();
     {
         let config = &config;
         let alone = &alone;
         for mix in &mixes {
             for kind in [PolicyKind::Baseline, PolicyKind::Dap] {
-                plan.add(move || run_workload(config, kind, mix, INSTR, alone));
+                cells.push(CellSpec::new(format!("{}/{kind:?}", mix.name), move || {
+                    run_workload(config, kind, mix, INSTR, alone)
+                }));
             }
         }
     }
     ParallelExecutor::new(threads)
-        .run(plan)
+        .run(cells)
         .into_iter()
         .map(|r| {
             (

@@ -5,8 +5,7 @@
 
 use experiments::checkpoint::{cell_key, CheckpointManifest};
 use experiments::exec::{
-    clear_cell_panic, inject_cell_panic, run_variant_grid_recovered, ExperimentPlan,
-    ParallelExecutor,
+    clear_cell_panic, inject_cell_panic, run_variant_grid_recovered, CellSpec, ParallelExecutor,
 };
 use experiments::runner::{run_workload, AloneIpcCache, PolicyKind, WorkloadRun};
 use mem_sim::{FaultSchedule, FaultTarget, SystemConfig};
@@ -49,18 +48,24 @@ fn faulted_grid_is_bit_identical_across_thread_counts() {
     let mixes = mixes(3);
     let run_grid = |threads: usize| {
         let alone = AloneIpcCache::new();
-        let mut plan = ExperimentPlan::new();
+        let mut cells = Vec::new();
         {
             let config = &config;
             let alone = &alone;
             for mix in &mixes {
                 for kind in [PolicyKind::Baseline, PolicyKind::DapMeasured] {
-                    plan.add(move || run_workload(config, kind, mix, INSTR, alone));
+                    // Not the `mix/Policy` labels the injection drills in
+                    // this binary arm concurrently: a drill's one-shot panic
+                    // must never land in this grid.
+                    let label = format!("threads-{threads}/{}/{kind:?}", mix.name);
+                    cells.push(CellSpec::new(label, move || {
+                        run_workload(config, kind, mix, INSTR, alone)
+                    }));
                 }
             }
         }
         ParallelExecutor::new(threads)
-            .run(plan)
+            .run(cells)
             .iter()
             .map(key_of)
             .collect::<Vec<_>>()
@@ -119,14 +124,26 @@ fn injected_panic_isolates_to_one_cell() {
         (&outaged, PolicyKind::DapMeasured),
     ];
 
-    let clean =
-        run_variant_grid_recovered(&variants, &mixes, INSTR, &AloneIpcCache::new(), None, 0);
+    let clean = run_variant_grid_recovered(
+        &variants,
+        &mixes,
+        INSTR,
+        &AloneIpcCache::new(),
+        None,
+        &ParallelExecutor::from_env(),
+    );
     assert!(clean.is_complete(), "{:?}", clean.errors);
 
     let victim = format!("{}/{:?}", mixes[1].name, PolicyKind::Dap);
     inject_cell_panic(&victim);
-    let faulted =
-        run_variant_grid_recovered(&variants, &mixes, INSTR, &AloneIpcCache::new(), None, 0);
+    let faulted = run_variant_grid_recovered(
+        &variants,
+        &mixes,
+        INSTR,
+        &AloneIpcCache::new(),
+        None,
+        &ParallelExecutor::from_env(),
+    );
     clear_cell_panic();
 
     assert_eq!(faulted.errors.len(), 1, "exactly one cell may fail");
@@ -153,27 +170,6 @@ fn injected_panic_isolates_to_one_cell() {
         }
     }
     assert_eq!(compared, mixes.len() * variants.len() - 1);
-}
-
-/// A retried transient panic recovers without an error and without
-/// disturbing the grid's results.
-#[test]
-fn transient_panic_recovers_on_retry() {
-    let config = SystemConfig::sectored_dram_cache(2);
-    let mixes = mixes(1);
-    let variants = [(&config, PolicyKind::Dap)];
-    let clean =
-        run_variant_grid_recovered(&variants, &mixes, INSTR, &AloneIpcCache::new(), None, 0);
-
-    inject_cell_panic(&format!("{}/{:?}", mixes[0].name, PolicyKind::Dap));
-    let retried =
-        run_variant_grid_recovered(&variants, &mixes, INSTR, &AloneIpcCache::new(), None, 1);
-    clear_cell_panic();
-    assert!(retried.is_complete(), "{:?}", retried.errors);
-    assert_eq!(
-        key_of(retried.runs[0][0].as_ref().unwrap()),
-        key_of(clean.runs[0][0].as_ref().unwrap()),
-    );
 }
 
 /// An interrupted grid resumes from its checkpoint manifest: the second
@@ -203,7 +199,7 @@ fn checkpointed_grid_resumes_after_a_crash() {
         INSTR,
         &AloneIpcCache::new(),
         Some(&manifest),
-        0,
+        &ParallelExecutor::from_env(),
     );
     clear_cell_panic();
     assert_eq!(first.errors.len(), 1);
@@ -215,7 +211,7 @@ fn checkpointed_grid_resumes_after_a_crash() {
         INSTR,
         &AloneIpcCache::new(),
         Some(&manifest),
-        0,
+        &ParallelExecutor::from_env(),
     );
     assert!(second.is_complete());
     assert_eq!(second.resumed, 3, "only the failed cell re-ran");
@@ -228,7 +224,7 @@ fn checkpointed_grid_resumes_after_a_crash() {
         INSTR,
         &AloneIpcCache::new(),
         Some(&manifest),
-        0,
+        &ParallelExecutor::from_env(),
     );
     assert_eq!(third.resumed, 4);
     for (a, b) in second
