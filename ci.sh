@@ -20,6 +20,11 @@ cargo build --release --offline --workspace
 echo "== cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+# Rustdoc must build warning-free: a moved or renamed item breaks the
+# intra-doc links that name it.
+echo "== cargo doc --workspace --no-deps (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # The repository benchmark's own tests, then one short sim-sectored run:
 # its warm-up round checks the pinned seed-1 RunResult digests, so any
 # host-only simulator change that moves a simulated count fails here
@@ -140,6 +145,66 @@ echo "$loadgen_out" | grep -q "dapd_decisions_total 10000" || {
     exit 1
 }
 rm -f "$dapd_log"
+
+# Accept-error smoke: a daemon at its descriptor limit must keep
+# accepting. `ulimit -n 12` applies to the serve subshell only; ten held
+# connections exhaust it, so accepts fail with EMFILE. Once they close,
+# loadgen must get through, the stats must count the accept errors (the
+# proof the limit was hit), and serve must shut down cleanly. `timeout`
+# bounds every wait, so a daemon that stopped accepting fails the step
+# instead of hanging it.
+echo "== dapd accept-error smoke (serve at its descriptor limit)"
+deaf_dir=$(mktemp -d)
+deaf_log="$deaf_dir/serve.log"
+( ulimit -n 12; exec timeout 60 ./target/release/dapctl serve --tcp 127.0.0.1:0 \
+    --flight-dump "$deaf_dir/flight.jsonl" ) > "$deaf_log" 2>&1 &
+deaf_pid=$!
+deaf_addr=""
+for _ in $(seq 50); do
+    deaf_addr=$(sed -n 's/^dapd listening on tcp //p' "$deaf_log")
+    [ -n "$deaf_addr" ] && break
+    sleep 0.1
+done
+[ -n "$deaf_addr" ] || {
+    echo "ci: fd-limited dapd never printed its tcp address" >&2
+    cat "$deaf_log" >&2
+    kill "$deaf_pid" 2>/dev/null || true
+    exit 1
+}
+held=()
+for _ in $(seq 10); do
+    exec {fd}<>"/dev/tcp/${deaf_addr%:*}/${deaf_addr##*:}"
+    held+=("$fd")
+done
+sleep 0.5
+for fd in "${held[@]}"; do
+    exec {fd}>&-
+done
+deaf_out=$(timeout 30 ./target/release/dapctl loadgen --tcp "$deaf_addr" \
+    --requests 10 --shutdown) || {
+    echo "ci: loadgen could not reach the fd-limited daemon" >&2
+    cat "$deaf_log" >&2
+    kill "$deaf_pid" 2>/dev/null || true
+    exit 1
+}
+accept_errors=$(echo "$deaf_out" | sed -n 's/^dapd_accept_errors_total //p')
+[ "${accept_errors:-0}" -ge 1 ] || {
+    echo "ci: dapd_accept_errors_total is ${accept_errors:-missing}; the fd limit was never hit" >&2
+    echo "$deaf_out" >&2
+    kill "$deaf_pid" 2>/dev/null || true
+    exit 1
+}
+wait "$deaf_pid" || {
+    echo "ci: fd-limited dapd did not shut down cleanly" >&2
+    cat "$deaf_log" >&2
+    exit 1
+}
+grep -q "dapd: clean shutdown" "$deaf_log" || {
+    echo "ci: fd-limited dapd log is missing the clean-shutdown line" >&2
+    cat "$deaf_log" >&2
+    exit 1
+}
+rm -rf "$deaf_dir"
 
 # Ops-plane scrape smoke: daemon on ephemeral TCP + HTTP metrics ports,
 # real load, then every ops endpoint is fetched AND validated by

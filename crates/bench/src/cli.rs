@@ -10,7 +10,7 @@
 //! shutdown contract: the Ctrl-C handler is installed, the main thread
 //! honors the global cancel token at window granularity, and an
 //! interrupted run exits with
-//! [`EXIT_INTERRUPTED`](experiments::EXIT_INTERRUPTED) (130) after its
+//! [`EXIT_INTERRUPTED`] (130) after its
 //! telemetry artifacts (and, for a checkpointed grid, its manifest) have
 //! been flushed.
 

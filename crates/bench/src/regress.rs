@@ -230,7 +230,7 @@ pub fn run_dapd_cell(decisions: u64) -> CellTiming {
 
 /// Runs the pinned suite at `instructions` per core and assembles the
 /// report. Cells run sequentially so their timings don't contend; each
-/// cell is timed [`TIMING_REPEATS`] times and the minimum is reported.
+/// cell is timed `TIMING_REPEATS` times and the minimum is reported.
 pub fn run_suite(label: &str, instructions: u64) -> BenchReport {
     let mut cells = Vec::with_capacity(SUITE.len());
     let mut profile = Vec::new();

@@ -36,8 +36,8 @@ impl Harness {
     }
 
     /// Times `f`, calibrating the iteration count so each sample runs for
-    /// roughly [`TARGET_SAMPLE`], then reports the median ns/iteration
-    /// over [`SAMPLES`] samples. The calibration pass doubles as warmup.
+    /// roughly `TARGET_SAMPLE`, then reports the median ns/iteration
+    /// over `SAMPLES` samples. The calibration pass doubles as warmup.
     pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
         let mut iters: u64 = 1;
         loop {

@@ -8,7 +8,7 @@
 //! simulator's channel accounting and the controller's window counters.
 //! A bug in any of them silently corrupts every downstream figure. This
 //! module makes the laws *checked*: a [`WindowAuditor`] attached to the
-//! controller re-verifies each [`WindowSnapshot`][crate::WindowSnapshot]
+//! controller re-verifies each [`WindowSnapshot`]
 //! at the boundary where it is produced.
 //!
 //! ## Modes
@@ -87,7 +87,7 @@ pub fn set_mode_override(mode: Option<AuditMode>) {
     MODE_OVERRIDE.store(encoded, Ordering::Relaxed);
 }
 
-/// Total violations recorded process-wide (see [`OBSERVED_VIOLATIONS`]).
+/// Total violations recorded process-wide (see `OBSERVED_VIOLATIONS`).
 pub fn observed_violations() -> u64 {
     OBSERVED_VIOLATIONS.load(Ordering::Relaxed)
 }

@@ -9,7 +9,7 @@
 //! of lock wait against a ~16 µs socket round trip. So each connection
 //! reads through one [`READ_BUF_BYTES`] buffer, and a request usually
 //! costs one `read` syscall, not two (see
-//! [`read_frame_counted`](crate::wire::read_frame_counted)).
+//! [`read_frame_counted`]).
 //!
 //! ## Overload hardening
 //!
@@ -22,8 +22,12 @@
 //! * **Connection cap with deterministic load shedding** — beyond
 //!   `max_connections` live workers, new connections are accepted, sent
 //!   one [`Message::Reject`] with [`RejectCode::Overloaded`], and closed.
-//!   Nothing queues unboundedly. Counted in `dapd_shed_total` and
+//!   A connection whose worker thread cannot be spawned is shed the same
+//!   way. Nothing queues unboundedly. Counted in `dapd_shed_total` and
 //!   `dapd_rejected_total{cause="overloaded"}`.
+//! * **Accept errors back off** — a failed accept (say `EMFILE`) keeps
+//!   the listener open and retries after one poll. Counted in
+//!   `dapd_accept_errors_total`.
 //! * **Per-connection frame/byte budgets** — a connection that exceeds
 //!   `max_frames_per_conn` or `max_bytes_per_conn` is told `Overloaded`
 //!   and closed (`dapd_rejected_total{cause="frame_budget"}` /
@@ -48,9 +52,9 @@
 //! `/varz`, and `/debug/flight` endpoints for an
 //! [`OpsServer`](dap_telemetry::http::OpsServer) via [`ops_router`].
 //!
-//! Finished worker handles are pruned in the accept loop (the live count
-//! is what the connection cap is checked against), so the worker table
-//! stays bounded for the life of the server.
+//! Accepting, deadlines, the cap check and worker pruning live in
+//! [`dap_telemetry::accept`], shared with the HTTP ops endpoint; the
+//! daemon plugs in its handler, shedding, error counter and spike watcher.
 //!
 //! Shutdown is cooperative: any client may send [`Message::Shutdown`];
 //! the acceptor notices within one poll interval (10 ms), stops
@@ -61,18 +65,17 @@
 
 use crate::engine::{Engine, EngineError};
 use crate::wire::{read_frame_counted, write_frame, Message, RejectCode, READ_BUF_BYTES};
+use dap_telemetry::accept::{self, Admission, Limits};
 use dap_telemetry::http::OpsResponse;
 use dap_telemetry::{labeled, Counter, FlightKind, FlightRecorder, Histogram};
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
-
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// Overload and deadline knobs for a [`Server`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,6 +150,7 @@ impl ServerConfig {
 #[derive(Clone)]
 struct ServerMetrics {
     shed: Counter,
+    accept_errors: Counter,
     rejected_overloaded: Counter,
     rejected_deadline: Counter,
     rejected_garbage: Counter,
@@ -161,6 +165,10 @@ impl ServerMetrics {
     fn new(engine: &Engine) -> Self {
         engine.describe("dapd_shed_total", "Connections shed at the admission cap.");
         engine.describe(
+            "dapd_accept_errors_total",
+            "Accept errors the acceptor backed off from and retried.",
+        );
+        engine.describe(
             "dapd_rejected_total",
             "Requests/connections rejected at a fault boundary, by cause.",
         );
@@ -173,6 +181,7 @@ impl ServerMetrics {
         };
         Self {
             shed: engine.counter("dapd_shed_total"),
+            accept_errors: engine.counter("dapd_accept_errors_total"),
             rejected_overloaded: cause("overloaded"),
             rejected_deadline: cause("deadline"),
             rejected_garbage: cause("garbage"),
@@ -205,59 +214,43 @@ impl ServerMetrics {
     }
 }
 
-/// Socket-type-independent view of one accepted connection: blocking
-/// I/O plus OS-level read/write deadlines.
-trait Conn: io::Read + io::Write + Send + 'static {
-    fn set_deadlines(&self, read: Duration, write: Duration) -> io::Result<()>;
-}
-
-impl Conn for TcpStream {
-    fn set_deadlines(&self, read: Duration, write: Duration) -> io::Result<()> {
-        self.set_read_timeout(Some(read))?;
-        self.set_write_timeout(Some(write))
-    }
-}
-
-impl Conn for UnixStream {
-    fn set_deadlines(&self, read: Duration, write: Duration) -> io::Result<()> {
-        self.set_read_timeout(Some(read))?;
-        self.set_write_timeout(Some(write))
-    }
-}
-
-/// A bound, not-yet-running daemon.
-pub struct Server {
-    listener: Listener,
+/// A bound, not-yet-running daemon on a TCP ([`Server::bind_tcp`]) or
+/// Unix-domain ([`Server::bind_unix`]) listener.
+pub struct Server<L = TcpListener> {
+    listener: L,
+    /// The bound TCP address; `None` for a Unix socket.
+    local_addr: Option<SocketAddr>,
+    /// Unix socket path to unlink on join, if any.
+    unlink: Option<PathBuf>,
     engine: Arc<Mutex<Engine>>,
     config: ServerConfig,
-}
-
-enum Listener {
-    Tcp(TcpListener),
-    Unix(UnixListener, PathBuf),
 }
 
 /// Handle to a running daemon.
 pub struct ServerHandle {
     stop: Arc<AtomicBool>,
-    acceptor: thread::JoinHandle<io::Result<()>>,
+    acceptor: thread::JoinHandle<()>,
     engine: Arc<Mutex<Engine>>,
     /// Unix socket path to unlink on join, if any.
     unlink: Option<PathBuf>,
 }
 
-impl Server {
+impl Server<TcpListener> {
     /// Binds a TCP listener. `addr` may use port 0 to let the OS pick;
     /// [`Server::local_addr`] reports the result.
     pub fn bind_tcp(addr: &str, engine: Engine) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         Ok(Self {
-            listener: Listener::Tcp(listener),
+            local_addr: listener.local_addr().ok(),
+            listener,
+            unlink: None,
             engine: Arc::new(Mutex::new(engine)),
             config: ServerConfig::default(),
         })
     }
+}
 
+impl Server<UnixListener> {
     /// Binds a Unix-domain socket.
     ///
     /// If a socket file already exists at `path`, it is probed first: a
@@ -290,12 +283,16 @@ impl Server {
             Err(e) => return Err(e),
         };
         Ok(Self {
-            listener: Listener::Unix(listener, path.to_path_buf()),
+            listener,
+            local_addr: None,
+            unlink: Some(path.to_path_buf()),
             engine: Arc::new(Mutex::new(engine)),
             config: ServerConfig::default(),
         })
     }
+}
 
+impl<L: accept::Listener> Server<L> {
     /// Replaces the default overload/deadline configuration.
     pub fn with_config(mut self, config: ServerConfig) -> io::Result<Self> {
         config.validate()?;
@@ -310,65 +307,84 @@ impl Server {
 
     /// The bound TCP address (None for Unix sockets).
     pub fn local_addr(&self) -> Option<SocketAddr> {
-        match &self.listener {
-            Listener::Tcp(l) => l.local_addr().ok(),
-            Listener::Unix(..) => None,
-        }
+        self.local_addr
     }
 
     /// Starts the accept loop on a background thread.
-    pub fn spawn(self) -> io::Result<ServerHandle> {
+    pub fn spawn(self) -> io::Result<ServerHandle>
+    where
+        L::Stream: io::Read + io::Write,
+    {
         let stop = Arc::new(AtomicBool::new(false));
-        let engine = Arc::clone(&self.engine);
-        let metrics = ServerMetrics::new(&engine.lock().unwrap());
-        let unlink = match &self.listener {
-            Listener::Unix(_, path) => Some(path.clone()),
-            Listener::Tcp(_) => None,
+        let metrics = ServerMetrics::new(&self.engine.lock().unwrap());
+        let config = &self.config;
+        let limits = Limits {
+            read_deadline: config.read_deadline,
+            write_deadline: config.write_deadline,
+            max_connections: config.max_connections,
         };
-        let acceptor = {
-            let stop = Arc::clone(&stop);
-            let engine = Arc::clone(&self.engine);
-            let config = self.config;
-            match self.listener {
-                Listener::Tcp(l) => {
-                    l.set_nonblocking(true)?;
-                    thread::spawn(move || accept_loop(l, stop, engine, config, metrics, accept_tcp))
-                }
-                Listener::Unix(l, _) => {
-                    l.set_nonblocking(true)?;
-                    thread::spawn(move || {
-                        accept_loop(l, stop, engine, config, metrics, accept_unix)
-                    })
-                }
+        let serve = {
+            let (engine, stop) = (Arc::clone(&self.engine), Arc::clone(&stop));
+            let (config, metrics) = (config.clone(), metrics.clone());
+            move |stream: L::Stream| {
+                let engine = Arc::clone(&engine);
+                let _ = serve_connection(stream, engine, Arc::clone(&stop), &config, &metrics);
             }
         };
+        let shedder = Shedder {
+            spikes: SpikeWatcher::new(&metrics),
+            config: self.config,
+            metrics,
+        };
+        let acceptor = accept::spawn(
+            "dapd",
+            self.listener,
+            limits,
+            Arc::clone(&stop),
+            serve,
+            shedder,
+        )?;
         Ok(ServerHandle {
             stop,
             acceptor,
-            engine,
-            unlink,
+            engine: self.engine,
+            unlink: self.unlink,
         })
     }
 }
 
-fn accept_tcp(l: &TcpListener) -> io::Result<TcpStream> {
-    l.accept().map(|(s, _)| s)
+/// The daemon's acceptor-side policy: [`shed`] what gets no worker,
+/// count accept errors, and watch the reject rate once per poll.
+struct Shedder {
+    spikes: SpikeWatcher,
+    config: ServerConfig,
+    metrics: ServerMetrics,
 }
 
-fn accept_unix(l: &UnixListener) -> io::Result<UnixStream> {
-    l.accept().map(|(s, _)| s)
+impl<S: io::Write> Admission<S> for Shedder {
+    fn refuse(&mut self, stream: S) {
+        shed(stream, &self.metrics);
+    }
+
+    fn tick(&mut self) {
+        self.spikes.tick(&self.config, &self.metrics);
+    }
+
+    fn accept_error(&mut self, _error: &io::Error) {
+        self.metrics.accept_errors.incr();
+    }
 }
 
-/// Sheds one over-cap connection: best-effort `Reject(Overloaded)`, then
-/// close (by drop). The write deadline bounds how long a non-reading
-/// peer can hold the acceptor.
-fn shed<S: Conn>(mut stream: S, config: &ServerConfig, metrics: &ServerMetrics) {
+/// Sheds one connection that gets no worker: best-effort
+/// `Reject(Overloaded)`, then close (by drop). The write deadline the
+/// accept loop armed bounds how long a non-reading peer can hold the
+/// acceptor.
+fn shed<S: io::Write>(mut stream: S, metrics: &ServerMetrics) {
     metrics.shed.incr();
     metrics.reject(&metrics.rejected_overloaded, "overloaded", 0, 0);
     metrics
         .flight
         .record(FlightKind::Shed, "overloaded", [0; 6]);
-    let _ = stream.set_deadlines(config.read_deadline, config.write_deadline);
     let _ = write_frame(&mut stream, &Message::Reject(RejectCode::Overloaded));
 }
 
@@ -415,64 +431,6 @@ impl SpikeWatcher {
         self.window_start = Instant::now();
         self.base_rejects = now_total;
     }
-}
-
-fn accept_loop<L, S>(
-    listener: L,
-    stop: Arc<AtomicBool>,
-    engine: Arc<Mutex<Engine>>,
-    config: ServerConfig,
-    metrics: ServerMetrics,
-    accept: fn(&L) -> io::Result<S>,
-) -> io::Result<()>
-where
-    L: Send + 'static,
-    S: Conn,
-{
-    let mut workers: Vec<thread::JoinHandle<()>> = Vec::new();
-    let mut spikes = SpikeWatcher::new(&metrics);
-    while !stop.load(Ordering::SeqCst) {
-        spikes.tick(&config, &metrics);
-        match accept(&listener) {
-            Ok(stream) => {
-                // Prune finished workers first: the live count is what
-                // the cap is checked against, and the table must not
-                // grow for the life of the server.
-                workers.retain(|w| !w.is_finished());
-                if workers.len() >= config.max_connections {
-                    shed(stream, &config, &metrics);
-                    continue;
-                }
-                if stream
-                    .set_deadlines(config.read_deadline, config.write_deadline)
-                    .is_err()
-                {
-                    // A socket we cannot arm deadlines on could pin a
-                    // worker forever; refuse it.
-                    continue;
-                }
-                let engine = Arc::clone(&engine);
-                let stop = Arc::clone(&stop);
-                let config = config.clone();
-                let metrics = metrics.clone();
-                workers.push(thread::spawn(move || {
-                    let _ = serve_connection(stream, engine, stop, &config, &metrics);
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                workers.retain(|w| !w.is_finished());
-                thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    // Deadlines bound this join: every worker wakes from its blocking
-    // read within one read_deadline and exits (drain reject or timeout).
-    for w in workers {
-        let _ = w.join();
-    }
-    Ok(())
 }
 
 fn serve_connection<S: io::Read + io::Write>(
@@ -683,14 +641,13 @@ impl ServerHandle {
 
     /// Waits for the acceptor to exit and cleans up the socket file.
     pub fn join(self) -> io::Result<()> {
-        let result = self
-            .acceptor
+        self.acceptor
             .join()
             .map_err(|_| io::Error::other("acceptor thread panicked"))?;
         if let Some(path) = &self.unlink {
             let _ = std::fs::remove_file(path);
         }
-        result
+        Ok(())
     }
 }
 
@@ -701,6 +658,7 @@ mod tests {
     use crate::engine::EngineConfig;
     use crate::wire::read_frame;
     use std::io::{Read, Write};
+    use std::net::TcpStream;
 
     fn spawn_tcp() -> (ServerHandle, SocketAddr) {
         let engine = Engine::new(EngineConfig::hbm_ddr4_pair()).unwrap();

@@ -101,7 +101,7 @@ impl EffectiveBandwidth {
 /// `K = B_MS$ / B_MM` for possibly-degraded rates.
 ///
 /// * cache dark → `0/1` (no access belongs cache-side);
-/// * main memory dark → [`K_MM_DARK`]`/1` (everything belongs cache-side);
+/// * main memory dark → `K_MM_DARK``/1` (everything belongs cache-side);
 /// * otherwise the ratio, clamped into a range [`Ratio::approximate`]
 ///   can always represent.
 pub fn degraded_k(cache_gbps: f64, mm_gbps: f64) -> Ratio {

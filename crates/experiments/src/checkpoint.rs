@@ -246,7 +246,7 @@ impl CheckpointManifest {
     }
 
     /// Records a finished cell: one appended, fsync'd JSONL line (via
-    /// [`append_line_synced`]) plus the in-memory entry. Recording the
+    /// `append_line_synced`) plus the in-memory entry. Recording the
     /// same key again overwrites (the runs are deterministic, so the
     /// values agree).
     pub fn record(&self, key: &str, run: &WorkloadRun) {

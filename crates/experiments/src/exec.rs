@@ -16,11 +16,11 @@
 //! untouched. [`ParallelExecutor::run`] drains the grid and then panics
 //! with the first error; [`run_variant_grid_recovered`] keeps the errors
 //! and can checkpoint finished cells into a
-//! [`CheckpointManifest`](crate::checkpoint::CheckpointManifest) so an
+//! [`CheckpointManifest`] so an
 //! interrupted grid resumes instead of recomputing.
 //!
 //! The same loop stops grids gracefully: a
-//! [`CancelToken`](crate::cancel::CancelToken) (tripped by Ctrl-C or a
+//! [`CancelToken`] (tripped by Ctrl-C or a
 //! test hook) and the per-cell deadline watchdog (`DAP_CELL_DEADLINE_MS`)
 //! are armed as [`mem_sim::ScopedStop`] flags around every cell of every
 //! figure, the simulator honors them at window granularity, and
@@ -681,7 +681,7 @@ impl std::error::Error for ExecError {}
 /// `executor`: cells that fail surface as [`CellError`]s instead of
 /// aborting the grid, and finished cells are recorded into `checkpoint`
 /// (when given) so an interrupted grid resumes instead of recomputing —
-/// keyed by [`cell_key`](crate::checkpoint::cell_key), which covers the
+/// keyed by [`cell_key`], which covers the
 /// full system configuration (fault schedule included), policy, mix, and
 /// instruction budget.
 pub fn run_variant_grid_recovered(

@@ -59,7 +59,8 @@ fn scenarios(start: u64) -> Vec<(&'static str, Option<FaultSchedule>)> {
 /// and measured-bandwidth DAP, per fault scenario — plus the ratio of
 /// measured over static DAP and the number of measured-bandwidth budget
 /// re-solves. Honors `DAP_RESUME` for checkpoint/resume; an interrupted
-/// run returns the scenarios finished so far, and a failed cell panics.
+/// run returns the scenarios finished so far — a scenario whose grid was
+/// cut short prints no row — and a failed cell panics.
 pub fn fig_fault_degradation(instructions: u64) -> FigureResult {
     let manifest = match CheckpointManifest::from_env() {
         Some(Ok(m)) => Some(m),
@@ -90,8 +91,7 @@ pub fn fig_fault_degradation(instructions: u64) -> FigureResult {
             manifest.as_ref(),
             &ParallelExecutor::from_env(),
         );
-        let cancelled = grid.cancelled();
-        if !cancelled && !grid.is_complete() {
+        if !grid.cancelled() && !grid.is_complete() {
             // A failed cell fails the figure, as it does every other
             // figure, instead of averaging over the mixes that are left.
             // The cells that finished are already in the manifest.
@@ -104,13 +104,28 @@ pub fn fig_fault_degradation(instructions: u64) -> FigureResult {
                 eprintln!("warning: {error}");
             }
         }
+        let Ok(grid) = grid.into_result() else {
+            // Cancelled before every cell finished: a row averaged over
+            // the finished mixes would look whole, so withhold it. With
+            // a manifest open, finished cells are in it and a
+            // `DAP_RESUME` re-run picks up from here.
+            eprintln!(
+                "fig_fault_degradation: cancelled before scenario {name} finished; \
+                 its row is withheld (partial figure)"
+            );
+            if let Some(path) = manifest.as_ref().and_then(CheckpointManifest::path) {
+                eprintln!(
+                    "fig_fault_degradation: finished cells are checkpointed — \
+                     re-run with DAP_RESUME={} to continue",
+                    path.display()
+                );
+            }
+            break;
+        };
         let mut sums = [0.0f64; 3];
-        let mut counted = 0usize;
         let mut resolves = 0u64;
-        for runs in &grid.runs {
-            let [Some(base), Some(dap), Some(measured)] = &runs[..] else {
-                continue;
-            };
+        for runs in &grid {
+            let (base, dap, measured) = (&runs[0], &runs[1], &runs[2]);
             sums[0] += delivered_gbps(base, cpu_ghz);
             sums[1] += delivered_gbps(dap, cpu_ghz);
             sums[2] += delivered_gbps(measured, cpu_ghz);
@@ -118,9 +133,8 @@ pub fn fig_fault_degradation(instructions: u64) -> FigureResult {
                 .result
                 .dap_decisions
                 .map_or(0, |d| d.bandwidth_resolves);
-            counted += 1;
         }
-        let n = counted.max(1) as f64;
+        let n = grid.len() as f64;
         rows.push(Row::new(
             name.to_string(),
             vec![
@@ -131,19 +145,6 @@ pub fn fig_fault_degradation(instructions: u64) -> FigureResult {
                 resolves as f64,
             ],
         ));
-        if cancelled {
-            // Stop starting new scenarios. With a manifest open, finished
-            // cells are in it and a `DAP_RESUME` re-run picks up from here.
-            eprintln!("fig_fault_degradation: cancelled after scenario {name}; partial figure");
-            if let Some(path) = manifest.as_ref().and_then(CheckpointManifest::path) {
-                eprintln!(
-                    "fig_fault_degradation: finished cells are checkpointed — \
-                     re-run with DAP_RESUME={} to continue",
-                    path.display()
-                );
-            }
-            break;
-        }
     }
     FigureResult {
         id: "Fig. F",

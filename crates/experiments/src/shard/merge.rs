@@ -210,7 +210,7 @@ fn describe_shard_metrics(registry: &MetricsRegistry) {
 }
 
 /// Prometheus exposition of a *live* fleet, rendered from a mid-run
-/// [`LeaseSnapshot`] plus the supervisor's [`FleetOutcome`] so far.
+/// [`LeaseSnapshot`] plus the supervisor's [`FleetOutcome`](crate::shard::FleetOutcome) so far.
 /// `dapctl explore` rewrites `fleet.prom` from this once a second while
 /// workers are still draining the grid (the merged post-run exposition
 /// then overwrites it with verified numbers).

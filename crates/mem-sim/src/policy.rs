@@ -189,11 +189,11 @@ impl DapPolicy {
     }
 
     /// Creates a degradation-aware DAP policy: every
-    /// [`note_effective_bandwidth`] report re-derives the window budget
+    /// [`note_bandwidth_scale`] report re-derives the window budget
     /// (and `K`) from the measured rates, so Eq. 4 is solved against
     /// delivered rather than nominal bandwidth.
     ///
-    /// [`note_effective_bandwidth`]: Partitioner::note_effective_bandwidth
+    /// [`note_bandwidth_scale`]: Partitioner::note_bandwidth_scale
     pub fn with_measured_bandwidth(config: DapConfig) -> Self {
         Self {
             measured: true,

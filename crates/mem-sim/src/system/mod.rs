@@ -3,21 +3,21 @@
 //!
 //! The module is layered so each concern lives in one place:
 //!
-//! * [`subsystem`] — the [`MemorySubsystem`] below the shared L3, the
-//!   [`MemSideCache`](subsystem) trait that abstracts over memory-side
+//! * `subsystem` — the [`MemorySubsystem`] below the shared L3, the
+//!   `MemSideCache` trait that abstracts over memory-side
 //!   cache architectures, and the single construction-time `match` that
 //!   picks an implementation from [`CacheKind`](crate::config::CacheKind).
-//! * [`sector_routing`] — the shared read/write/fill routing skeleton for
+//! * `sector_routing` — the shared read/write/fill routing skeleton for
 //!   sector-organized caches (stacked-DRAM sectored and on-die eDRAM),
 //!   written once against a small `SectorCache` abstraction.
-//! * [`direct_routing`] — routing for the Alloy cache (direct-mapped
+//! * `direct_routing` — routing for the Alloy cache (direct-mapped
 //!   TAD + predictor + DBC/BEAR) and the OS-visible flat tier, which do
 //!   not share the sector skeleton.
-//! * [`hierarchy`] — the [`System`]: cores, L1/L2/L3 SRAM caches, MSHRs,
+//! * `hierarchy` — the [`System`]: cores, L1/L2/L3 SRAM caches, MSHRs,
 //!   and the prefetchers.
-//! * [`kernel`] — the epoch-skipping simulation kernel (the default run
+//! * `kernel` — the epoch-skipping simulation kernel (the default run
 //!   loop) and its epoch scheduler.
-//! * [`run_loop`] — the per-quantum reference loop, retained as the
+//! * `run_loop` — the per-quantum reference loop, retained as the
 //!   kernel's bit-identity oracle (`reference-kernel` feature).
 //!
 //! The [`MemorySubsystem`] is where the paper's action happens: every L3

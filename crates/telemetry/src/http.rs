@@ -6,9 +6,9 @@
 //! exactly three outcomes (200 with a body, 404, 400). [`OpsServer`]
 //! implements that subset over std's blocking sockets:
 //!
-//! - the accept loop is non-blocking with a 10 ms poll (mirroring
-//!   `dapd::Server`), so a stalled or malicious client can never park
-//!   it — requests are served on short-lived per-connection threads
+//! - it runs on the accept loop `dapd::Server` runs on ([`crate::accept`]),
+//!   non-blocking with a 10 ms poll, so a stalled or malicious client
+//!   can never park it — requests are served on short-lived threads
 //!   capped at [`OpsServerConfig::max_connections`], and connections
 //!   over the cap are closed unserved;
 //! - every connection gets read/write deadlines and a hard request-size
@@ -33,8 +33,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Poll interval of the non-blocking accept loop.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+use crate::accept::{self, Admission, Limits};
 
 /// One response from an [`OpsRouter`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,12 +148,21 @@ impl OpsServer {
     /// Starts serving `router` on a background acceptor thread.
     pub fn spawn(self, router: OpsRouter) -> std::io::Result<OpsHandle> {
         let addr = self.listener.local_addr()?;
-        self.listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let stop_accept = Arc::clone(&stop);
-        let acceptor = std::thread::Builder::new()
-            .name("ops-accept".to_string())
-            .spawn(move || accept_loop(self.listener, self.config, router, stop_accept))?;
+        let config = self.config;
+        let limits = Limits {
+            read_deadline: config.read_deadline,
+            write_deadline: config.read_deadline,
+            max_connections: config.max_connections,
+        };
+        let acceptor = accept::spawn(
+            "ops",
+            self.listener,
+            limits,
+            Arc::clone(&stop),
+            move |stream| serve_connection(stream, &config, &router),
+            CloseUnserved,
+        )?;
         Ok(OpsHandle {
             stop,
             acceptor: Some(acceptor),
@@ -174,13 +182,10 @@ impl OpsHandle {
         self.stop.store(true, Ordering::SeqCst);
     }
 
-    /// Stops the acceptor and waits for it (worker threads are joined by
-    /// the acceptor on its way out).
-    pub fn join(mut self) {
-        self.request_stop();
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
+    /// Stops the acceptor and waits for it, as dropping the handle does
+    /// (worker threads are joined by the acceptor on its way out).
+    pub fn join(self) {
+        drop(self);
     }
 }
 
@@ -193,43 +198,17 @@ impl Drop for OpsHandle {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    config: OpsServerConfig,
-    router: OpsRouter,
-    stop: Arc<AtomicBool>,
-) {
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        workers.retain(|w| !w.is_finished());
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if workers.len() >= config.max_connections {
-                    drop(stream); // over cap: close unserved, scraper retries
-                    continue;
-                }
-                let router = Arc::clone(&router);
-                let config = config.clone();
-                if let Ok(worker) = std::thread::Builder::new()
-                    .name("ops-conn".to_string())
-                    .spawn(move || serve_connection(stream, &config, &router))
-                {
-                    workers.push(worker);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-    for worker in workers {
-        let _ = worker.join();
+/// The ops endpoint's admission policy: a connection over the cap is
+/// closed unserved (the scraper retries).
+struct CloseUnserved;
+
+impl Admission<TcpStream> for CloseUnserved {
+    fn refuse(&mut self, stream: TcpStream) {
+        drop(stream);
     }
 }
 
 fn serve_connection(mut stream: TcpStream, config: &OpsServerConfig, router: &OpsRouter) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(config.read_deadline));
-    let _ = stream.set_write_timeout(Some(config.read_deadline));
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 1024];
     // Read until end of headers, the size cap, the deadline, or EOF —

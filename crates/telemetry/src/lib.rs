@@ -5,10 +5,10 @@
 //! makes the control loop observable without giving up the workspace's
 //! hermetic build (no registry dependencies) or its determinism:
 //!
-//! * [`metrics`] — a [`MetricsRegistry`](metrics::MetricsRegistry) of
+//! * [`metrics`] — a [`MetricsRegistry`] of
 //!   sharded atomic counters, gauges, and fixed-bucket power-of-two
 //!   histograms, cheap enough to stay enabled in release runs.
-//! * [`window`] — a [`WindowTraceRecorder`](window::WindowTraceRecorder)
+//! * [`window`] — a [`WindowTraceRecorder`]
 //!   implementing `dap_core`'s `TelemetrySink`: it captures every
 //!   [`WindowSnapshot`](dap_core::WindowSnapshot) in a bounded ring
 //!   buffer, optionally spilling overflow to a writer as JSONL.
@@ -22,11 +22,14 @@
 //! * [`exposition`] — Prometheus text-format rendering of a snapshot
 //!   (`# HELP`/`# TYPE` headers, labeled series via [`labeled`]) plus
 //!   the in-tree format checker [`check_exposition`].
-//! * [`flight`] — a crash-safe [`FlightRecorder`](flight::FlightRecorder)
+//! * [`flight`] — a crash-safe [`FlightRecorder`]
 //!   ring of decision-relevant events, dumped as JSONL on panic,
 //!   `SIGUSR1`, reject-rate spikes, or `GET /debug/flight`.
+//! * [`accept`] — the one accept/admission loop (connection cap,
+//!   deadlines, accept-error backoff, worker join) that both `dapd` and
+//!   the HTTP ops endpoint run on.
 //! * [`http`] — a minimal hand-rolled HTTP/1.1 ops responder
-//!   ([`OpsServer`](http::OpsServer)) and one-shot client for the
+//!   ([`OpsServer`]) and one-shot client for the
 //!   `/metrics`, `/healthz`, `/varz`, and `/debug/flight` endpoints.
 //! * [`json`] — the minimal in-tree JSON reader/writer the exporters use.
 //!
@@ -48,6 +51,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod accept;
 pub mod export;
 pub mod exposition;
 pub mod flight;

@@ -2,7 +2,7 @@
 //! snapshots with optional spill-to-writer.
 //!
 //! A [`WindowTraceRecorder`] implements `dap_core`'s
-//! [`TelemetrySink`](dap_core::TelemetrySink) and captures every
+//! [`TelemetrySink`] and captures every
 //! [`WindowSnapshot`] the controller emits. Memory stays bounded: once
 //! `capacity` windows are held, the oldest record is either written to
 //! the spill writer as a JSONL line (when one was supplied) or dropped.

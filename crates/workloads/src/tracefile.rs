@@ -50,7 +50,7 @@ pub enum TraceFileError {
         record: u64,
         /// Byte offset where the incomplete record starts.
         offset: u64,
-        /// Bytes present of the [`RECORD_BYTES`]-byte record.
+        /// Bytes present of the `RECORD_BYTES`-byte record.
         got: usize,
     },
     /// A record's kind byte is neither 0 (read) nor 1 (write).
